@@ -164,7 +164,8 @@ impl SafeIntervalEvaluator {
     /// φ(x, x′, u) of eq. (3) with a moving x′.
     ///
     /// `now` is the absolute time of `state` within the dynamic world's
-    /// timeline.
+    /// timeline. One snapshot buffer is allocated per call and refilled in
+    /// place at every rollout step.
     #[must_use]
     pub fn safe_interval_dynamic(
         &self,
@@ -173,14 +174,16 @@ impl SafeIntervalEvaluator {
         state: &VehicleState,
         control: Control,
     ) -> Seconds {
-        if self.barrier.value_in_world(&world.snapshot(now), state) < 0.0 {
+        let mut snapshot = world.snapshot(now);
+        if self.barrier.value_in_world(&snapshot, state) < 0.0 {
             return Seconds::ZERO;
         }
         let raw_horizon = self.horizon * self.conservatism;
         let mut crossing: Option<Seconds> = None;
         self.model
             .rollout(*state, control, self.step, raw_horizon, |t, s| {
-                if self.barrier.value_in_world(&world.snapshot(now + t), &s) < 0.0 {
+                world.snapshot_into(now + t, &mut snapshot);
+                if self.barrier.value_in_world(&snapshot, &s) < 0.0 {
                     crossing = Some(t);
                     false
                 } else {
@@ -365,6 +368,70 @@ mod tests {
         let s = eval.safe_interval(&world, &state, control);
         let d = eval.safe_interval_dynamic(&dynamic, Seconds::ZERO, &state, control);
         assert!((s.as_secs() - d.as_secs()).abs() < 1e-9, "{s} vs {d}");
+    }
+
+    #[test]
+    fn dynamic_interval_matches_the_fresh_snapshot_form() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use seo_sim::dynamics::{DynamicWorld, MovingObstacle};
+        // Δmax against a world snapshot rebuilt at every rollout step.
+        let reference = |eval: &SafeIntervalEvaluator,
+                         world: &DynamicWorld,
+                         now: Seconds,
+                         state: &VehicleState,
+                         control: Control| {
+            if eval.barrier.value_in_world(&world.snapshot(now), state) < 0.0 {
+                return Seconds::ZERO;
+            }
+            let mut crossing: Option<Seconds> = None;
+            eval.model.rollout(
+                *state,
+                control,
+                eval.step,
+                eval.horizon * eval.conservatism,
+                |t, s| {
+                    let unsafe_now =
+                        eval.barrier.value_in_world(&world.snapshot(now + t), &s) < 0.0;
+                    if unsafe_now {
+                        crossing = Some(t);
+                    }
+                    !unsafe_now
+                },
+            );
+            match crossing {
+                Some(t) => {
+                    ((t - eval.step).max(Seconds::ZERO) / eval.conservatism).min(eval.horizon)
+                }
+                None => eval.horizon,
+            }
+        };
+        let eval = SafeIntervalEvaluator::default();
+        let mut rng = StdRng::seed_from_u64(0xd1);
+        for _ in 0..300 {
+            let movers = (0..rng.gen_range(0..5usize))
+                .map(|_| {
+                    MovingObstacle::new(
+                        Obstacle::new(rng.gen_range(5.0..60.0), rng.gen_range(-4.0..4.0), 1.0),
+                        rng.gen_range(-8.0..2.0),
+                        rng.gen_range(-1.5..1.5),
+                    )
+                })
+                .collect();
+            let world = DynamicWorld::new(Road::default(), movers);
+            let now = Seconds::new(rng.gen_range(0.0..3.0));
+            let state =
+                VehicleState::new(0.0, rng.gen_range(-2.0..2.0), 0.0, rng.gen_range(0.0..15.0));
+            let control = Control::new(rng.gen_range(-1.0..=1.0), rng.gen_range(-1.0..=1.0));
+            assert_eq!(
+                eval.safe_interval_dynamic(&world, now, &state, control)
+                    .as_secs()
+                    .to_bits(),
+                reference(&eval, &world, now, &state, control)
+                    .as_secs()
+                    .to_bits()
+            );
+        }
     }
 
     #[test]

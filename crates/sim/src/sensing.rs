@@ -10,7 +10,7 @@
 //!   view, used as the input `y_i` to the Λ′ detector models.
 
 use crate::vehicle::VehicleState;
-use crate::world::World;
+use crate::world::{nearest_surface, World};
 use rand::Rng;
 
 /// Precise safety-state estimate: distance and relative orientation to the
@@ -31,9 +31,9 @@ impl RelativeObservation {
     /// Ground-truth observation of the nearest obstacle.
     #[must_use]
     pub fn observe(world: &World, vehicle: &VehicleState) -> Self {
-        match world.nearest_obstacle(vehicle) {
-            Some(o) => Self {
-                distance: o.surface_distance(vehicle.x, vehicle.y),
+        match world.nearest_obstacle_with_distance(vehicle) {
+            Some((o, distance)) => Self {
+                distance,
                 bearing: vehicle.bearing_to(o.x, o.y),
                 speed: vehicle.speed,
             },
@@ -51,18 +51,16 @@ impl RelativeObservation {
     /// even while it is still the closest one overall.
     #[must_use]
     pub fn observe_ahead(world: &World, vehicle: &VehicleState) -> Self {
-        let ahead = world
-            .obstacles()
-            .iter()
-            .filter(|o| vehicle.bearing_to(o.x, o.y).abs() < std::f64::consts::FRAC_PI_2)
-            .min_by(|a, b| {
-                let da = a.surface_distance(vehicle.x, vehicle.y);
-                let db = b.surface_distance(vehicle.x, vehicle.y);
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            });
+        let ahead = nearest_surface(
+            world
+                .obstacles()
+                .iter()
+                .filter(|o| vehicle.bearing_to(o.x, o.y).abs() < std::f64::consts::FRAC_PI_2),
+            vehicle,
+        );
         match ahead {
-            Some(o) => Self {
-                distance: o.surface_distance(vehicle.x, vehicle.y),
+            Some((o, distance)) => Self {
+                distance,
                 bearing: vehicle.bearing_to(o.x, o.y),
                 speed: vehicle.speed,
             },
@@ -231,10 +229,72 @@ mod tests {
     use super::*;
     use crate::world::{Obstacle, Road};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn world_one_obstacle() -> World {
         World::new(Road::default(), vec![Obstacle::new(20.0, 0.0, 1.0)])
+    }
+
+    /// `observe_ahead` as `min_by` over recomputed distances.
+    fn observe_ahead_reference(world: &World, vehicle: &VehicleState) -> RelativeObservation {
+        let ahead = world
+            .obstacles()
+            .iter()
+            .filter(|o| vehicle.bearing_to(o.x, o.y).abs() < std::f64::consts::FRAC_PI_2)
+            .min_by(|a, b| {
+                let da = a.surface_distance(vehicle.x, vehicle.y);
+                let db = b.surface_distance(vehicle.x, vehicle.y);
+                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+            });
+        match ahead {
+            Some(o) => RelativeObservation {
+                distance: o.surface_distance(vehicle.x, vehicle.y),
+                bearing: vehicle.bearing_to(o.x, o.y),
+                speed: vehicle.speed,
+            },
+            None => RelativeObservation {
+                distance: f64::INFINITY,
+                bearing: 0.0,
+                speed: vehicle.speed,
+            },
+        }
+    }
+
+    #[test]
+    fn observations_match_the_recomputing_reference() {
+        let bits =
+            |o: RelativeObservation| [o.distance.to_bits(), o.bearing.to_bits(), o.speed.to_bits()];
+        let mut rng = StdRng::seed_from_u64(0x0b5);
+        for _ in 0..5_000 {
+            let n = rng.gen_range(0..6usize);
+            let obstacles = (0..n)
+                .map(|_| {
+                    Obstacle::new(
+                        f64::from(rng.gen_range(0..6i32)) * 3.0,
+                        f64::from(rng.gen_range(-2..=2i32)),
+                        f64::from(rng.gen_range(0..3i32)) * 0.5,
+                    )
+                })
+                .collect();
+            let world = World::new(Road::default(), obstacles);
+            let v = VehicleState::new(
+                f64::from(rng.gen_range(-2..12i32)),
+                f64::from(rng.gen_range(-2..=2i32)),
+                rng.gen_range(-3.2..3.2),
+                5.0,
+            );
+            assert_eq!(
+                bits(RelativeObservation::observe_ahead(&world, &v)),
+                bits(observe_ahead_reference(&world, &v))
+            );
+            let nearest = world.nearest_obstacle(&v);
+            let want = RelativeObservation {
+                distance: nearest.map_or(f64::INFINITY, |o| o.surface_distance(v.x, v.y)),
+                bearing: nearest.map_or(0.0, |o| v.bearing_to(o.x, o.y)),
+                speed: v.speed,
+            };
+            assert_eq!(bits(RelativeObservation::observe(&world, &v)), bits(want));
+        }
     }
 
     #[test]

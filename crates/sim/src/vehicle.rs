@@ -11,8 +11,15 @@ use seo_platform::units::Seconds;
 use std::fmt;
 
 /// Normalizes an angle into `(-pi, pi]`.
+///
+/// An angle already in range is returned as is: `fmod` by `2pi` is the
+/// identity on `|theta| < 2pi`, so the fast path gives the same bits as the
+/// reduction (NaN fails both comparisons and takes the reduction).
 #[must_use]
 pub fn wrap_angle(theta: f64) -> f64 {
+    if theta > -std::f64::consts::PI && theta <= std::f64::consts::PI {
+        return theta;
+    }
     let mut a = theta % std::f64::consts::TAU;
     if a <= -std::f64::consts::PI {
         a += std::f64::consts::TAU;
@@ -209,6 +216,19 @@ impl BicycleModel {
     /// Returns `(x_dot, y_dot, heading_dot, speed_dot)`.
     #[must_use]
     pub fn derivative(&self, state: VehicleState, control: Control) -> (f64, f64, f64, f64) {
+        let (accel, tan_steer) = self.frozen(control);
+        let x_dot = state.speed * state.heading.cos();
+        let y_dot = state.speed * state.heading.sin();
+        let heading_dot = state.speed * tan_steer / self.wheelbase;
+        let speed_dot = accel - self.drag * state.speed;
+        (x_dot, y_dot, heading_dot, speed_dot)
+    }
+
+    /// The state-independent part of the dynamics under `control`: the
+    /// commanded acceleration (m/s^2, negative when braking) and the
+    /// tangent of the steering angle. A frozen-control rollout computes it
+    /// once.
+    fn frozen(&self, control: Control) -> (f64, f64) {
         let steer = control.steering.clamp(-1.0, 1.0) * self.max_steering_angle;
         let throttle = control.throttle.clamp(-1.0, 1.0);
         let accel = if throttle >= 0.0 {
@@ -216,11 +236,23 @@ impl BicycleModel {
         } else {
             throttle * self.max_braking
         };
-        let x_dot = state.speed * state.heading.cos();
-        let y_dot = state.speed * state.heading.sin();
-        let heading_dot = state.speed * steer.tan() / self.wheelbase;
-        let speed_dot = accel - self.drag * state.speed;
-        (x_dot, y_dot, heading_dot, speed_dot)
+        (accel, steer.tan())
+    }
+
+    /// An upper bound, up to rounding, on the speed over a [`Self::rollout`]
+    /// of `steps` substeps of `dt` from `speed` under `control`, the start
+    /// included: `max(speed, min(speed + max(accel, 0) * steps * dt,
+    /// max_speed))`. Drag only slows a non-negative speed, so it is left
+    /// out. Returns infinity (no bound) for a negative or NaN speed or a
+    /// negative drag.
+    #[must_use]
+    pub fn speed_bound(&self, speed: f64, control: Control, dt: Seconds, steps: usize) -> f64 {
+        if !(speed >= 0.0 && self.drag >= 0.0) {
+            return f64::INFINITY;
+        }
+        let (accel, _) = self.frozen(control);
+        let gained = speed + accel.max(0.0) * steps as f64 * dt.as_secs();
+        gained.min(self.max_speed).max(speed)
     }
 
     /// Integrates the dynamics forward by `dt` (semi-implicit Euler, which is
@@ -230,12 +262,16 @@ impl BicycleModel {
     /// `(-pi, pi]`.
     #[must_use]
     pub fn step(&self, state: VehicleState, control: Control, dt: Seconds) -> VehicleState {
-        let dt = dt.as_secs();
-        let (_, _, _, speed_dot) = self.derivative(state, control);
+        let (accel, tan_steer) = self.frozen(control);
+        self.advance(state, accel, tan_steer, dt.as_secs())
+    }
+
+    /// One semi-implicit Euler step from the parts [`Self::frozen`] returns.
+    fn advance(&self, state: VehicleState, accel: f64, tan_steer: f64, dt: f64) -> VehicleState {
+        let speed_dot = accel - self.drag * state.speed;
         let new_speed = (state.speed + speed_dot * dt).clamp(0.0, self.max_speed);
         // Integrate pose with the updated speed (semi-implicit).
-        let steer = control.steering.clamp(-1.0, 1.0) * self.max_steering_angle;
-        let heading_dot = new_speed * steer.tan() / self.wheelbase;
+        let heading_dot = new_speed * tan_steer / self.wheelbase;
         let new_heading = wrap_angle(state.heading + heading_dot * dt);
         let avg_heading = wrap_angle(state.heading + 0.5 * heading_dot * dt);
         VehicleState {
@@ -244,6 +280,12 @@ impl BicycleModel {
             heading: new_heading,
             speed: new_speed,
         }
+    }
+
+    /// Substeps [`Self::rollout`] takes to cover `horizon` at `dt`.
+    #[must_use]
+    pub fn rollout_steps(dt: Seconds, horizon: Seconds) -> usize {
+        (horizon.as_secs() / dt.as_secs()).ceil().max(0.0) as usize
     }
 
     /// Integrates the dynamics over `horizon` with fixed substeps of
@@ -259,9 +301,11 @@ impl BicycleModel {
     ) where
         F: FnMut(Seconds, VehicleState) -> bool,
     {
-        let steps = (horizon.as_secs() / dt.as_secs()).ceil().max(0.0) as usize;
-        for k in 1..=steps {
-            state = self.step(state, control, dt);
+        // The control is frozen, so its acceleration and steering tangent
+        // are too.
+        let (accel, tan_steer) = self.frozen(control);
+        for k in 1..=Self::rollout_steps(dt, horizon) {
+            state = self.advance(state, accel, tan_steer, dt.as_secs());
             if !visit(Seconds::new(k as f64 * dt.as_secs()), state) {
                 break;
             }
@@ -272,9 +316,163 @@ impl BicycleModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, PI};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::f64::consts::{FRAC_PI_2, PI, TAU};
 
     const DT: Seconds = Seconds::new(0.02);
+
+    /// `wrap_angle` without the in-range fast path.
+    fn wrap_angle_reference(theta: f64) -> f64 {
+        let mut a = theta % TAU;
+        if a <= -PI {
+            a += TAU;
+        } else if a > PI {
+            a -= TAU;
+        }
+        a
+    }
+
+    /// `BicycleModel::step` with nothing hoisted or shared.
+    fn step_reference(
+        model: &BicycleModel,
+        state: VehicleState,
+        control: Control,
+        dt: Seconds,
+    ) -> VehicleState {
+        let dt = dt.as_secs();
+        let throttle = control.throttle.clamp(-1.0, 1.0);
+        let accel = if throttle >= 0.0 {
+            throttle * model.max_acceleration
+        } else {
+            throttle * model.max_braking
+        };
+        let speed_dot = accel - model.drag * state.speed;
+        let new_speed = (state.speed + speed_dot * dt).clamp(0.0, model.max_speed);
+        let steer = control.steering.clamp(-1.0, 1.0) * model.max_steering_angle;
+        let heading_dot = new_speed * steer.tan() / model.wheelbase;
+        let new_heading = wrap_angle_reference(state.heading + heading_dot * dt);
+        let avg_heading = wrap_angle_reference(state.heading + 0.5 * heading_dot * dt);
+        VehicleState {
+            x: state.x + new_speed * avg_heading.cos() * dt,
+            y: state.y + new_speed * avg_heading.sin() * dt,
+            heading: new_heading,
+            speed: new_speed,
+        }
+    }
+
+    fn bits(s: VehicleState) -> [u64; 4] {
+        [
+            s.x.to_bits(),
+            s.y.to_bits(),
+            s.heading.to_bits(),
+            s.speed.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn wrap_angle_fast_path_is_bit_exact() {
+        let mut edges = vec![
+            PI,
+            -PI,
+            PI.next_up(),
+            PI.next_down(),
+            (-PI).next_up(),
+            (-PI).next_down(),
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            TAU,
+            -TAU,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for k in -12..=12 {
+            let m = f64::from(k) * TAU;
+            edges.extend([m, m.next_up(), m.next_down(), m + PI, m - PI]);
+        }
+        let mut rng = StdRng::seed_from_u64(0x3a);
+        for _ in 0..20_000 {
+            let scale = [1.0, 4.0, 10.0, 1e6][rng.gen_range(0..4usize)];
+            edges.push(rng.gen_range(-scale..scale));
+        }
+        for theta in edges {
+            assert_eq!(
+                wrap_angle(theta).to_bits(),
+                wrap_angle_reference(theta).to_bits(),
+                "wrap_angle({theta:e})"
+            );
+        }
+    }
+
+    #[test]
+    fn step_and_rollout_match_the_unhoisted_form() {
+        let mut rng = StdRng::seed_from_u64(0x57e9);
+        for _ in 0..2_000 {
+            let model = BicycleModel {
+                max_speed: rng.gen_range(5.0..30.0),
+                drag: rng.gen_range(0.0..0.2),
+                ..BicycleModel::default()
+            };
+            let state = VehicleState::new(
+                rng.gen_range(-50.0..150.0),
+                rng.gen_range(-6.0..6.0),
+                rng.gen_range(-4.0..4.0),
+                rng.gen_range(0.0..20.0),
+            );
+            let control = Control::new(rng.gen_range(-1.2..1.2), rng.gen_range(-1.2..1.2));
+            let dt = Seconds::from_millis(rng.gen_range(1.0..25.0));
+            assert_eq!(
+                bits(model.step(state, control, dt)),
+                bits(step_reference(&model, state, control, dt))
+            );
+            let mut expected = state;
+            model.rollout(state, control, dt, Seconds::new(0.3), |_, s| {
+                expected = step_reference(&model, expected, control, dt);
+                assert_eq!(bits(s), bits(expected));
+                true
+            });
+        }
+    }
+
+    #[test]
+    fn speed_bound_covers_every_rollout_speed() {
+        let mut rng = StdRng::seed_from_u64(0x5bd);
+        for _ in 0..2_000 {
+            let model = BicycleModel {
+                max_speed: rng.gen_range(5.0..30.0),
+                drag: rng.gen_range(0.0..0.2),
+                ..BicycleModel::default()
+            };
+            let state = VehicleState::new(0.0, 0.0, 0.0, rng.gen_range(0.0..35.0));
+            let control = Control::new(0.0, rng.gen_range(-1.0..=1.0));
+            let horizon = Seconds::new(0.6);
+            let steps = BicycleModel::rollout_steps(DT, horizon);
+            let bound = model.speed_bound(state.speed, control, DT, steps);
+            assert!(bound >= state.speed);
+            model.rollout(state, control, DT, horizon, |_, s| {
+                assert!(s.speed <= bound * (1.0 + 1e-12), "{} > {bound}", s.speed);
+                true
+            });
+        }
+        let model = BicycleModel::default();
+        assert_eq!(
+            model.speed_bound(-1.0, Control::coast(), DT, 30),
+            f64::INFINITY
+        );
+        let draggy = BicycleModel {
+            drag: -0.1,
+            ..model
+        };
+        assert_eq!(
+            draggy.speed_bound(5.0, Control::coast(), DT, 30),
+            f64::INFINITY
+        );
+    }
 
     #[test]
     fn wrap_angle_stays_in_range() {

@@ -140,19 +140,27 @@ impl World {
     /// The obstacle whose *surface* is closest to the vehicle, if any.
     #[must_use]
     pub fn nearest_obstacle(&self, vehicle: &VehicleState) -> Option<&Obstacle> {
-        self.obstacles.iter().min_by(|a, b| {
-            let da = a.surface_distance(vehicle.x, vehicle.y);
-            let db = b.surface_distance(vehicle.x, vehicle.y);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
+        self.nearest_obstacle_with_distance(vehicle).map(|(o, _)| o)
+    }
+
+    /// The nearest obstacle together with its surface distance, each
+    /// distance computed once. Of equal minima the first wins, and an
+    /// obstacle at a NaN distance neither replaces the running nearest nor
+    /// is replaced (the rule of `min_by` over `partial_cmp`).
+    #[must_use]
+    pub fn nearest_obstacle_with_distance(
+        &self,
+        vehicle: &VehicleState,
+    ) -> Option<(&Obstacle, f64)> {
+        nearest_surface(self.obstacles.iter(), vehicle)
     }
 
     /// Surface distance to the nearest obstacle, or `f64::INFINITY` when the
     /// world has none.
     #[must_use]
     pub fn nearest_obstacle_distance(&self, vehicle: &VehicleState) -> f64 {
-        self.nearest_obstacle(vehicle)
-            .map_or(f64::INFINITY, |o| o.surface_distance(vehicle.x, vehicle.y))
+        self.nearest_obstacle_with_distance(vehicle)
+            .map_or(f64::INFINITY, |(_, d)| d)
     }
 
     /// Whether the vehicle (treated as a point with `margin` radius) overlaps
@@ -177,6 +185,26 @@ impl World {
     }
 }
 
+/// The obstacle of `obstacles` whose surface is closest to the vehicle,
+/// with that distance. Computes each distance once and picks the result
+/// `Iterator::min_by` over `partial_cmp` (NaN comparing equal) would: the
+/// first of equal minima, and a candidate replaces the running minimum only
+/// when strictly closer, so a NaN distance neither wins against nor loses
+/// its place to anything.
+pub(crate) fn nearest_surface<'a>(
+    obstacles: impl Iterator<Item = &'a Obstacle>,
+    vehicle: &VehicleState,
+) -> Option<(&'a Obstacle, f64)> {
+    let mut nearest: Option<(&Obstacle, f64)> = None;
+    for o in obstacles {
+        let d = o.surface_distance(vehicle.x, vehicle.y);
+        if nearest.is_none_or(|(_, best)| d < best) {
+            nearest = Some((o, d));
+        }
+    }
+    nearest
+}
+
 impl fmt::Display for World {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -192,6 +220,17 @@ impl fmt::Display for World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `nearest_obstacle` as `min_by` over recomputed distances.
+    fn nearest_reference<'a>(world: &'a World, vehicle: &VehicleState) -> Option<&'a Obstacle> {
+        world.obstacles.iter().min_by(|a, b| {
+            let da = a.surface_distance(vehicle.x, vehicle.y);
+            let db = b.surface_distance(vehicle.x, vehicle.y);
+            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+        })
+    }
 
     fn world_with(obs: &[(f64, f64, f64)]) -> World {
         World::new(
@@ -228,10 +267,54 @@ mod tests {
     }
 
     #[test]
+    fn nearest_obstacle_matches_min_by_on_ties_and_nan() {
+        let mut rng = StdRng::seed_from_u64(0x4ea7);
+        for _ in 0..5_000 {
+            // Few distinct positions on a coarse grid make exact ties
+            // common; a NaN radius makes that obstacle's distance NaN.
+            let n = rng.gen_range(0..7usize);
+            let obstacles: Vec<Obstacle> = (0..n)
+                .map(|_| Obstacle {
+                    x: f64::from(rng.gen_range(0..4i32)) * 2.0,
+                    y: f64::from(rng.gen_range(-1..=1i32)),
+                    radius: match rng.gen_range(0..6u8) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        _ => f64::from(rng.gen_range(0..3i32)) * 0.5,
+                    },
+                })
+                .collect();
+            let world = World::new(Road::default(), obstacles);
+            let v = VehicleState::new(
+                f64::from(rng.gen_range(-2..6i32)),
+                f64::from(rng.gen_range(-1..=1i32)),
+                0.0,
+                1.0,
+            );
+            let got = world.nearest_obstacle_with_distance(&v);
+            let want = nearest_reference(&world, &v);
+            assert_eq!(
+                got.map(|(o, _)| o as *const Obstacle),
+                want.map(|o| o as *const _)
+            );
+            let want_d = want.map_or(f64::INFINITY, |o| o.surface_distance(v.x, v.y));
+            assert_eq!(
+                world.nearest_obstacle_distance(&v).to_bits(),
+                want_d.to_bits()
+            );
+            if let Some((_, d)) = got {
+                assert_eq!(d.to_bits(), want_d.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn empty_world_queries() {
         let w = World::empty();
         let v = VehicleState::route_start();
         assert!(w.nearest_obstacle(&v).is_none());
+        assert!(w.nearest_obstacle_with_distance(&v).is_none());
+        assert!(nearest_reference(&w, &v).is_none());
         assert_eq!(w.nearest_obstacle_distance(&v), f64::INFINITY);
         assert!(!w.is_collision(&v, 1.0));
     }
