@@ -64,7 +64,7 @@ use crate::error::SeoError;
 use crate::json::Json;
 use crate::metrics::EpisodeReport;
 use crate::plan::{CellConfig, GridAxes, SeedRange, SweepPlan};
-use crate::runtime::{EpisodeScratch, RuntimeLoop};
+use crate::runtime::EpisodeScratch;
 use crate::shard;
 
 /// Seed offsets the search may explore above the plan's base seed. Bounded
@@ -387,13 +387,14 @@ impl Candidate {
 // Memoized evaluation
 // ---------------------------------------------------------------------------
 
-/// Runs candidates through the per-cell serial episode loop, memoizing both
-/// runtimes (per cell) and episode results (per candidate).
+/// Runs candidates through the per-cell serial episode loop, memoizing
+/// episode results (per candidate). Each evaluation builds its cell's
+/// runtime afresh: with the deadline table shared per process that costs
+/// microseconds, against milliseconds for the episode.
 struct Evaluator<'a> {
     plan: &'a SweepPlan,
     objective: Objective,
     dims: [usize; N_DIMS],
-    runtimes: HashMap<[usize; 7], RuntimeLoop>,
     results: HashMap<Candidate, (f64, EpisodeReport)>,
     scratch: EpisodeScratch,
     evaluations: usize,
@@ -406,7 +407,6 @@ impl<'a> Evaluator<'a> {
             plan,
             objective,
             dims: dims(&plan.axes),
-            runtimes: HashMap::new(),
             results: HashMap::new(),
             scratch: EpisodeScratch::new(),
             evaluations: 0,
@@ -431,14 +431,9 @@ impl<'a> Evaluator<'a> {
         if let Some((value, _)) = self.results.get(&cand) {
             return Ok(*value);
         }
-        let cell_key: [usize; 7] = cand.idx[..7].try_into().expect("seven cell dims");
-        if !self.runtimes.contains_key(&cell_key) {
-            let runtime = cand.cell(&self.plan.axes).runtime(self.plan.kernel)?;
-            self.runtimes.insert(cell_key, runtime);
-        }
-        let runtime = &self.runtimes[&cell_key];
         let cell = cand.cell(&self.plan.axes);
-        let report = cell.run_spec(runtime, cand.spec(&self.plan.axes), &mut self.scratch);
+        let runtime = cell.runtime(self.plan.kernel)?;
+        let report = cell.run_spec(&runtime, cand.spec(&self.plan.axes), &mut self.scratch);
         let value = self.objective.value(&report);
         self.evaluations += 1;
         self.trace.push(value);

@@ -85,12 +85,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonParseError`] (with a byte offset) on malformed input or
-    /// trailing non-whitespace.
+    /// Returns [`JsonParseError`] (with a byte offset) on malformed input,
+    /// trailing non-whitespace, or arrays and objects nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Self, JsonParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -240,9 +242,18 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+///
+/// The parser recurses once per level, so without a bound a single
+/// untrusted frame of nested `[` overflows the stack and aborts the whole
+/// process. Plans, job frames and host pools nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -287,8 +298,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -569,6 +591,24 @@ mod tests {
         }
         let err = Json::parse("[1,]").expect_err("trailing comma");
         assert!(err.to_string().contains("at byte"), "{err}");
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deepest = Json::parse(&nested(MAX_DEPTH)).expect("at the limit");
+        assert_eq!(deepest.as_arr().map(<[Json]>::len), Some(1));
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("past the limit");
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Objects count too, and closed levels are given back.
+        let mixed = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&format!("[{mixed},{mixed}]")).is_err());
+        let siblings = nested(MAX_DEPTH - 1);
+        assert!(Json::parse(&format!("[{siblings},{siblings},{siblings}]")).is_ok());
+        // The frame that used to overflow the stack: 2 MB of `[`.
+        let hostile = "[".repeat(2 << 20);
+        assert!(Json::parse(&hostile).is_err());
     }
 
     #[test]

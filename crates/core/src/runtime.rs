@@ -59,6 +59,7 @@ use seo_wireless::link::WirelessLink;
 use seo_wireless::offload::{OffloadTransaction, ResponseEstimator};
 use seo_wireless::server::EdgeServer;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Per-model offload bookkeeping.
 #[derive(Debug, Clone)]
@@ -85,8 +86,10 @@ struct ModelState {
 /// The assembled SEO runtime: simulator-facing closed loop with safety-aware
 /// optimization.
 ///
-/// Construct once per configuration (the deadline table build is the
-/// expensive part) and reuse across episodes via [`Self::run_episode`].
+/// Construct once per configuration and reuse across episodes via
+/// [`Self::run_episode`]. Construction is cheap: the deadline table, the
+/// only expensive part, is built once per process and shared by every
+/// runtime with the same Δcap ([`DeadlineTable::shared`]).
 #[derive(Debug, Clone)]
 pub struct RuntimeLoop {
     config: SeoConfig,
@@ -95,7 +98,7 @@ pub struct RuntimeLoop {
     controller: Controller,
     filter: SafetyFilter,
     evaluator: SafeIntervalEvaluator,
-    table: DeadlineTable,
+    table: Arc<DeadlineTable>,
     link: WirelessLink,
     server: EdgeServer,
     kernel: KernelBackend,
@@ -141,7 +144,8 @@ impl EpisodeScratch {
 
 impl RuntimeLoop {
     /// Builds the runtime: validates the configuration and model partition,
-    /// and constructs the deadline lookup table offline.
+    /// and takes the deadline lookup table for the configuration's Δcap
+    /// from the process-wide memo, building it offline on first use.
     ///
     /// # Errors
     ///
@@ -155,7 +159,7 @@ impl RuntimeLoop {
         config.validate()?;
         models.validate()?;
         let evaluator = SafeIntervalEvaluator::default().with_horizon(config.delta_cap);
-        let table = DeadlineTable::build_default(&evaluator);
+        let table = DeadlineTable::shared(&evaluator);
         Ok(Self {
             config,
             models,
@@ -989,6 +993,64 @@ mod tests {
             report.unsafe_steps
         );
         assert!(report.min_distance > 0.5, "came within collision margin");
+    }
+
+    #[test]
+    fn cells_share_one_deadline_table() {
+        use crate::plan::{CellConfig, ChannelKind, ControllerKind, TrafficKind};
+        let base = CellConfig {
+            tau_ms: 20.0,
+            gating_level: 0.5,
+            control_mode: ControlMode::Filtered,
+            optimizer: OptimizerKind::Offloading,
+            controller: ControllerKind::PotentialField,
+            channel: ChannelKind::Clean,
+            traffic: TrafficKind::Static,
+        };
+        let cells = [
+            base,
+            CellConfig {
+                tau_ms: 10.0,
+                ..base
+            },
+            CellConfig {
+                gating_level: 0.9,
+                optimizer: OptimizerKind::ModelGating,
+                ..base
+            },
+            CellConfig {
+                controller: ControllerKind::parse("neural:0").expect("known controller"),
+                channel: ChannelKind::Bursty,
+                ..base
+            },
+        ];
+        let runtimes: Vec<RuntimeLoop> = cells
+            .iter()
+            .map(|c| c.runtime(KernelBackend::Scalar).expect("valid cell"))
+            .collect();
+        for rt in &runtimes[1..] {
+            assert!(Arc::ptr_eq(&rt.table, &runtimes[0].table));
+        }
+        // The shared table is exactly the one a fresh build produces.
+        let evaluator = SafeIntervalEvaluator::default().with_horizon(runtimes[0].config.delta_cap);
+        assert_eq!(
+            *runtimes[0].deadline_table(),
+            DeadlineTable::build_default(&evaluator)
+        );
+    }
+
+    #[test]
+    fn a_different_delta_cap_gets_a_different_table() {
+        let paper = runtime(OptimizerKind::Offloading);
+        let config = SeoConfig::paper_defaults().with_delta_cap(Seconds::from_millis(100.0));
+        let models = ModelSet::paper_setup(config.tau).expect("valid");
+        let wider = RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid");
+        assert!(!Arc::ptr_eq(&paper.table, &wider.table));
+        assert_eq!(
+            wider.deadline_table().horizon(),
+            Seconds::from_millis(100.0)
+        );
+        assert_ne!(paper.deadline_table(), wider.deadline_table());
     }
 
     #[test]

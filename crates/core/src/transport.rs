@@ -1994,11 +1994,14 @@ fn serve_paper_shard(
 /// The plan-job episode loop: a runtime is rebuilt at each cell boundary
 /// the shard crosses (same serial scratch loop as [`SweepPlan::run_range`]),
 /// on **this daemon's** kernel backend — backends are bit-identical, so a
-/// mixed fleet still merges correctly. With async offload the inner loop
-/// is a [`Reactor`] per cell segment instead; the reactor delivers reports
-/// in index order, so the fault-injector hook sequence per emitted report
-/// is exactly the blocking one. Returns `Ok(None)` when the fault injector
-/// killed the connection.
+/// mixed fleet still merges correctly. A rebuild costs microseconds: the
+/// deadline table comes from the process-wide memo
+/// ([`seo_safety::lookup::DeadlineTable::shared`]) that the daemon's own
+/// start-up runtime filled, so no lease ever builds one. With async
+/// offload the inner loop is a [`Reactor`] per cell segment instead; the
+/// reactor delivers reports in index order, so the fault-injector hook
+/// sequence per emitted report is exactly the blocking one. Returns
+/// `Ok(None)` when the fault injector killed the connection.
 ///
 /// When the plan's report mode is pure `summary`, no episode frame is
 /// written at all: every report folds into a local [`RunSummary`] and the

@@ -17,8 +17,9 @@
 //! (`S = 1` in the paper).
 
 use crate::error::SafetyError;
+use seo_platform::units::Seconds;
 use seo_sim::sensing::RelativeObservation;
-use seo_sim::vehicle::VehicleState;
+use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
 use seo_sim::world::World;
 
 /// Barrier over (distance, bearing, speed) relative to the nearest obstacle.
@@ -126,6 +127,64 @@ impl DistanceBarrier {
     pub fn critical_distance(&self, speed: f64) -> f64 {
         self.safe_radius + self.kinetic_gain * speed.powi(2) / (2.0 * self.max_braking)
     }
+
+    /// Whether a closed-form lower bound proves, without a rollout, that
+    /// `h` stays non-negative now and at every state of `rollout` from
+    /// `state` in the static `world`, given the current nearest surface
+    /// distance `distance`. The no-rollout pass of both Ψ
+    /// ([`crate::filter::SafetyFilter`]) and φ
+    /// ([`crate::interval::SafeIntervalEvaluator::safe_interval`]).
+    ///
+    /// Over the rollout the vehicle travels at most `v̄·T`, where `T` is the
+    /// rolled-out time and `v̄` the speed bound that the model's
+    /// acceleration and `max_speed` clamps imply
+    /// ([`BicycleModel::speed_bound`]); the kinetic term is at most
+    /// `gain·v̄²/(2·a_brake)` because `towardness <= 1`. So every `h` along
+    /// the rollout is at least `distance − r_safe − v̄·T −
+    /// gain·v̄²/(2·a_brake)`; since `v̄` covers the current speed too, the
+    /// bound also holds for `h` now. It proves safety when it exceeds a
+    /// rounding margin of `1e-9` per rolled-out step, relative to the sum
+    /// of the coordinates, radii, reach and kinetic term involved.
+    pub(crate) fn provably_safe(
+        &self,
+        rollout: &FrozenRollout<'_>,
+        world: &World,
+        state: &VehicleState,
+        distance: f64,
+    ) -> bool {
+        let FrozenRollout {
+            model,
+            control,
+            dt,
+            steps,
+        } = *rollout;
+        let speed = model.speed_bound(state.speed, control, dt, steps);
+        let reach = speed * steps as f64 * dt.as_secs();
+        let kinetic = self.kinetic_gain * speed.powi(2) / (2.0 * self.max_braking);
+        if kinetic < 0.0 {
+            // A negative gain or braking breaks the bound. (Any NaN on the
+            // way fails the final comparison instead.)
+            return false;
+        }
+        let extent: f64 = world
+            .obstacles()
+            .iter()
+            .map(|o| o.x.abs() + o.y.abs() + o.radius)
+            .sum();
+        let scale = 1.0 + state.x.abs() + state.y.abs() + extent + reach + kinetic;
+        let margin = 1e-9 * (steps as f64 + 1.0) * scale;
+        distance - self.safe_radius - reach - kinetic > margin
+    }
+}
+
+/// A frozen-control rollout: `steps` substeps of `dt` under `model` with
+/// `control` held, as [`BicycleModel::rollout`] integrates it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrozenRollout<'a> {
+    pub(crate) model: &'a BicycleModel,
+    pub(crate) control: Control,
+    pub(crate) dt: Seconds,
+    pub(crate) steps: usize,
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! that maximizes the worst-case barrier value, tie-breaking toward the
 //! original control (the ShieldNN behaviour of minimally modifying steering).
 
-use crate::barrier::DistanceBarrier;
+use crate::barrier::{DistanceBarrier, FrozenRollout};
 use seo_platform::units::Seconds;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
@@ -61,8 +61,11 @@ const ADMISSIBLE: usize = 3 * (2 * STEERING_CANDIDATES as usize + 1);
 ///   current speed too, the bound also holds for `h` now. When it exceeds a
 ///   rounding margin (`1e-9` per rolled-out step, relative to the sum of the
 ///   coordinates, radii, reach and kinetic term involved), the look-ahead
-///   cannot dip below zero and the control passes without a rollout. Only `Passed` is decided this way;
-///   [`Self::worst_case_barrier`] always rolls out.
+///   cannot dip below zero and the control passes without a rollout. Only
+///   `Passed` is decided this way; [`Self::worst_case_barrier`] always
+///   rolls out. The same bound lets
+///   [`SafeIntervalEvaluator::safe_interval`](crate::interval::SafeIntervalEvaluator::safe_interval)
+///   skip rollouts that cannot reach the barrier.
 /// * **Best-first corrective search.** A safe candidate scores
 ///   `100 + proximity` (at least 97.5 for controls in `[-1, 1]`), while an
 ///   unsafe one scores its negative (or NaN) worst-case barrier, so a safe
@@ -171,9 +174,9 @@ impl SafetyFilter {
         worst
     }
 
-    /// Whether the closed-form lower bound on `h` over the look-ahead (see
-    /// the type-level docs) proves that `control` keeps `h >= 0`, given the
-    /// current observation `now`.
+    /// Whether the closed-form lower bound on `h` over the look-ahead
+    /// (`DistanceBarrier::provably_safe`) proves that `control` keeps
+    /// `h >= 0`, given the current observation `now`.
     fn provably_safe(
         &self,
         world: &World,
@@ -181,25 +184,14 @@ impl SafetyFilter {
         now: &RelativeObservation,
         control: Control,
     ) -> bool {
-        let steps = BicycleModel::rollout_steps(self.step, self.lookahead);
-        let speed = self
-            .model
-            .speed_bound(state.speed, control, self.step, steps);
-        let reach = speed * steps as f64 * self.step.as_secs();
-        let kinetic = self.barrier.kinetic_gain * speed.powi(2) / (2.0 * self.barrier.max_braking);
-        if kinetic < 0.0 {
-            // A negative gain or braking breaks the bound. (Any NaN on the
-            // way fails the final comparison instead.)
-            return false;
-        }
-        let extent: f64 = world
-            .obstacles()
-            .iter()
-            .map(|o| o.x.abs() + o.y.abs() + o.radius)
-            .sum();
-        let scale = 1.0 + state.x.abs() + state.y.abs() + extent + reach + kinetic;
-        let margin = 1e-9 * (steps as f64 + 1.0) * scale;
-        now.distance - self.barrier.safe_radius - reach - kinetic > margin
+        let rollout = FrozenRollout {
+            model: &self.model,
+            control,
+            dt: self.step,
+            steps: BicycleModel::rollout_steps(self.step, self.lookahead),
+        };
+        self.barrier
+            .provably_safe(&rollout, world, state, now.distance)
     }
 
     /// Ψ(x, u): returns the filtered control `u'` and what happened.

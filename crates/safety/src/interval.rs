@@ -8,7 +8,7 @@
 //! the same construction EnergyShield \[20\] derives in closed form for the
 //! ShieldNN dynamics.
 
-use crate::barrier::DistanceBarrier;
+use crate::barrier::{DistanceBarrier, FrozenRollout};
 use seo_platform::units::Seconds;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
@@ -102,6 +102,41 @@ impl SafeIntervalEvaluator {
         self
     }
 
+    /// Every parameter, as raw bits: two evaluators with equal bits
+    /// compute the same φ. The memo key of
+    /// [`DeadlineTable::shared`](crate::lookup::DeadlineTable::shared);
+    /// unlike `==`, `0.0` and `-0.0` differ and NaN equals itself.
+    pub(crate) fn parameter_bits(&self) -> [u64; 12] {
+        let DistanceBarrier {
+            safe_radius,
+            max_braking,
+            kinetic_gain,
+        } = self.barrier;
+        let BicycleModel {
+            wheelbase,
+            max_steering_angle,
+            max_acceleration,
+            max_braking: model_braking,
+            max_speed,
+            drag,
+        } = self.model;
+        [
+            safe_radius,
+            max_braking,
+            kinetic_gain,
+            wheelbase,
+            max_steering_angle,
+            max_acceleration,
+            model_braking,
+            max_speed,
+            drag,
+            self.step.as_secs(),
+            self.horizon.as_secs(),
+            self.conservatism,
+        ]
+        .map(f64::to_bits)
+    }
+
     /// The conservatism divisor κ (see the type-level docs).
     #[must_use]
     pub fn conservatism(&self) -> f64 {
@@ -131,14 +166,32 @@ impl SafeIntervalEvaluator {
     /// If the state is *already* unsafe, returns [`Seconds::ZERO`] — the
     /// paper's Algorithm 1 then forces every Λ′ model to run at full
     /// capacity (`δ_i >= δmax` branch).
+    ///
+    /// When the closed-form bound that also backs Ψ's no-rollout pass
+    /// (see [`SafetyFilter`](crate::filter::SafetyFilter)) shows that `h`
+    /// cannot reach zero within `κ·horizon`, the horizon is returned
+    /// without a rollout — exactly what the rollout would return.
     #[must_use]
     pub fn safe_interval(&self, world: &World, state: &VehicleState, control: Control) -> Seconds {
-        if self.barrier.value_in_world(world, state) < 0.0 {
+        let now = RelativeObservation::observe(world, state);
+        if self.barrier.value(&now) < 0.0 {
             return Seconds::ZERO;
         }
         // Roll out far enough that, after dividing by kappa, the horizon is
         // still reachable.
         let raw_horizon = self.horizon * self.conservatism;
+        let rollout = FrozenRollout {
+            model: &self.model,
+            control,
+            dt: self.step,
+            steps: BicycleModel::rollout_steps(self.step, raw_horizon),
+        };
+        if self
+            .barrier
+            .provably_safe(&rollout, world, state, now.distance)
+        {
+            return self.horizon;
+        }
         let mut crossing: Option<Seconds> = None;
         self.model
             .rollout(*state, control, self.step, raw_horizon, |t, s| {
@@ -368,6 +421,162 @@ mod tests {
         let s = eval.safe_interval(&world, &state, control);
         let d = eval.safe_interval_dynamic(&dynamic, Seconds::ZERO, &state, control);
         assert!((s.as_secs() - d.as_secs()).abs() < 1e-9, "{s} vs {d}");
+    }
+
+    /// φ by its plain definition: a full rollout, no closed-form pass.
+    fn safe_interval_reference(
+        eval: &SafeIntervalEvaluator,
+        world: &World,
+        state: &VehicleState,
+        control: Control,
+    ) -> Seconds {
+        if eval.barrier.value_in_world(world, state) < 0.0 {
+            return Seconds::ZERO;
+        }
+        let mut crossing: Option<Seconds> = None;
+        eval.model.rollout(
+            *state,
+            control,
+            eval.step,
+            eval.horizon * eval.conservatism,
+            |t, s| {
+                let unsafe_now = eval.barrier.value_in_world(world, &s) < 0.0;
+                if unsafe_now {
+                    crossing = Some(t);
+                }
+                !unsafe_now
+            },
+        );
+        match crossing {
+            Some(t) => ((t - eval.step).max(Seconds::ZERO) / eval.conservatism).min(eval.horizon),
+            None => eval.horizon,
+        }
+    }
+
+    /// An evaluator with randomly perturbed barrier, dynamics, step,
+    /// horizon and conservatism.
+    fn random_evaluator(rng: &mut rand::rngs::StdRng) -> SafeIntervalEvaluator {
+        use rand::Rng;
+        let barrier = DistanceBarrier {
+            safe_radius: rng.gen_range(0.5..2.0),
+            max_braking: rng.gen_range(4.0..10.0),
+            kinetic_gain: rng.gen_range(0.0..1.5),
+        };
+        let model = BicycleModel {
+            max_acceleration: rng.gen_range(1.0..6.0),
+            max_speed: rng.gen_range(8.0..20.0),
+            drag: rng.gen_range(0.0..0.1),
+            ..BicycleModel::default()
+        };
+        SafeIntervalEvaluator::new(
+            barrier,
+            model,
+            Seconds::from_millis(rng.gen_range(2.0..20.0)),
+            Seconds::from_millis(rng.gen_range(20.0..200.0)),
+        )
+        .with_conservatism(rng.gen_range(1.0..12.0))
+    }
+
+    /// A random evaluator, world, state and control: half the worlds are
+    /// canonical relative scenes like the table build's, the rest road
+    /// stretches with up to five obstacles.
+    fn random_case(
+        rng: &mut rand::rngs::StdRng,
+        i: usize,
+    ) -> (SafeIntervalEvaluator, World, VehicleState, Control) {
+        use rand::Rng;
+        let eval = if i.is_multiple_of(2) {
+            SafeIntervalEvaluator::default()
+        } else {
+            random_evaluator(rng)
+        };
+        let world = if rng.gen_bool(0.5) {
+            let (d, b): (f64, f64) = (rng.gen_range(0.0..60.0), rng.gen_range(-3.2..3.2));
+            World::new(
+                Road::new(1e6, 1e6),
+                vec![Obstacle::new(d * b.cos(), d * b.sin(), 0.0)],
+            )
+        } else {
+            let obstacles = (0..rng.gen_range(0..6usize))
+                .map(|_| {
+                    Obstacle::new(
+                        rng.gen_range(0.0..60.0),
+                        rng.gen_range(-4.0..4.0),
+                        rng.gen_range(0.3..1.5),
+                    )
+                })
+                .collect();
+            World::new(Road::new(100.0, 10.0), obstacles)
+        };
+        let state = VehicleState::new(
+            rng.gen_range(-5.0..5.0),
+            rng.gen_range(-3.0..3.0),
+            rng.gen_range(-1.0..1.0),
+            rng.gen_range(0.0..15.0),
+        );
+        let control = Control::new(rng.gen_range(-1.0..=1.0), rng.gen_range(-1.0..=1.0));
+        (eval, world, state, control)
+    }
+
+    #[test]
+    fn bounded_interval_matches_the_full_rollout() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7ab1e);
+        let (mut capped, mut crossed) = (0, 0);
+        for i in 0..4_000 {
+            let (eval, world, state, control) = random_case(&mut rng, i);
+            let got = eval.safe_interval(&world, &state, control);
+            let want = safe_interval_reference(&eval, &world, &state, control);
+            assert_eq!(
+                got.as_secs().to_bits(),
+                want.as_secs().to_bits(),
+                "{world} {state} {control}"
+            );
+            if got == eval.horizon() {
+                capped += 1;
+            } else {
+                crossed += 1;
+            }
+        }
+        assert!(capped > 1_000 && crossed > 300, "{capped} / {crossed}");
+    }
+
+    #[test]
+    fn no_rollout_bound_is_sound() {
+        // Whenever the bound skips the rollout, the full rollout stays
+        // safe at every step, the start included.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x50d2);
+        let mut proved = 0;
+        for i in 0..20_000 {
+            let (eval, world, state, control) = random_case(&mut rng, i);
+            let rollout = FrozenRollout {
+                model: &eval.model,
+                control,
+                dt: eval.step,
+                steps: BicycleModel::rollout_steps(eval.step, eval.horizon * eval.conservatism),
+            };
+            let distance = RelativeObservation::observe(&world, &state).distance;
+            if eval
+                .barrier
+                .provably_safe(&rollout, &world, &state, distance)
+            {
+                proved += 1;
+                let mut worst = eval.barrier.value_in_world(&world, &state);
+                eval.model.rollout(
+                    state,
+                    control,
+                    eval.step,
+                    eval.horizon * eval.conservatism,
+                    |_, s| {
+                        worst = worst.min(eval.barrier.value_in_world(&world, &s));
+                        true
+                    },
+                );
+                assert!(worst >= 0.0, "{world} {state} {control}: worst {worst}");
+            }
+        }
+        assert!(proved > 3_000, "only {proved} states proved safe");
     }
 
     #[test]

@@ -14,6 +14,7 @@ use seo_platform::units::Seconds;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::Control;
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A uniform grid axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,6 +148,32 @@ impl DeadlineTable {
         Self::build(evaluator, distance, bearing, speed, Control::new(0.0, 0.5))
     }
 
+    /// The [`Self::build_default`] table for `evaluator`, built once per
+    /// process and shared.
+    ///
+    /// The table depends only on the evaluator, so every runtime, engine
+    /// and daemon lease with the same evaluator samples the same `Arc`.
+    /// The memo is keyed on the evaluator's parameters compared bit for
+    /// bit (`0.0` and `-0.0` never alias, NaN matches only itself) and
+    /// holds one table per distinct evaluator for the life of the process.
+    /// A table is built while the memo's lock is held, so concurrent first
+    /// callers wait for one build instead of each running their own.
+    #[must_use]
+    pub fn shared(evaluator: &SafeIntervalEvaluator) -> Arc<Self> {
+        type Memo = Vec<([u64; 12], Arc<DeadlineTable>)>;
+        static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
+        let key = evaluator.parameter_bits();
+        // A build that panicked left the memo as it was (the push below
+        // never ran), so a poisoned memo is still valid.
+        let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, table)) = memo.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(Self::build_default(evaluator));
+        memo.push((key, Arc::clone(&table)));
+        table
+    }
+
     /// Number of stored grid points.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -163,6 +190,12 @@ impl DeadlineTable {
     #[must_use]
     pub fn horizon(&self) -> Seconds {
         self.horizon
+    }
+
+    /// The stored Δmax values, row-major `[distance][bearing][speed]`.
+    #[must_use]
+    pub fn values(&self) -> &[Seconds] {
+        &self.values
     }
 
     /// T(x, u): O(1) Δmax lookup for an observation.
@@ -327,6 +360,58 @@ mod tests {
                 query.as_secs() <= upper.as_secs() + 1e-9,
                 "not conservative at d={d}: {query} > {upper}"
             );
+        }
+    }
+
+    #[test]
+    fn shared_tables_are_memoized_per_evaluator() {
+        let evaluator = SafeIntervalEvaluator::default().with_horizon(Seconds::from_millis(60.0));
+        let table = DeadlineTable::shared(&evaluator);
+        assert!(Arc::ptr_eq(&table, &DeadlineTable::shared(&evaluator)));
+        assert_eq!(*table, DeadlineTable::build_default(&evaluator));
+        let kappa = evaluator.with_conservatism(12.0);
+        assert!(!Arc::ptr_eq(&table, &DeadlineTable::shared(&kappa)));
+        // Keys compare bits: a zero and a negative-zero gain compute the
+        // same table but never alias.
+        let with_gain = |kinetic_gain| {
+            let barrier = crate::barrier::DistanceBarrier {
+                kinetic_gain,
+                ..Default::default()
+            };
+            SafeIntervalEvaluator::new(
+                barrier,
+                seo_sim::vehicle::BicycleModel::default(),
+                Seconds::from_millis(5.0),
+                Seconds::from_millis(60.0),
+            )
+        };
+        let zero = DeadlineTable::shared(&with_gain(0.0));
+        let negative_zero = DeadlineTable::shared(&with_gain(-0.0));
+        assert!(!Arc::ptr_eq(&zero, &negative_zero));
+        assert_eq!(zero, negative_zero);
+    }
+
+    #[test]
+    fn racing_first_callers_share_one_build() {
+        // A horizon no other test uses, so this is the key's first use.
+        let evaluator = SafeIntervalEvaluator::default().with_horizon(Seconds::from_millis(73.1));
+        let barrier = std::sync::Barrier::new(8);
+        let tables: Vec<Arc<DeadlineTable>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        DeadlineTable::shared(&evaluator)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
+        });
+        for table in &tables[1..] {
+            assert!(Arc::ptr_eq(table, &tables[0]));
         }
     }
 

@@ -487,6 +487,41 @@ fn daemon_speaks_legacy_v1_and_plan_v2_frames() {
     }
 }
 
+/// A hostile first frame (2 MB of nested `[`, well under the frame-size
+/// cap) used to overflow the JSON parser's stack and abort the whole
+/// daemon. Now it is a parse error: the daemon answers with an error frame
+/// and keeps serving health probes and jobs.
+#[test]
+fn deeply_nested_frame_gets_an_error_and_the_daemon_keeps_serving() {
+    let daemon = spawn_daemon(DaemonConfig::default());
+    let mut hostile = open(daemon.addr);
+    write_frame(&mut hostile, "[".repeat(2 << 20).as_bytes()).expect("send hostile frame");
+    match next_msg(&mut hostile) {
+        WorkerMsg::Error { message } => {
+            assert!(message.contains("nesting deeper"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let mut probe = open(daemon.addr);
+    write_frame(&mut probe, &health_request_frame()).expect("send health");
+    let payload = read_frame(&mut probe).expect("read frame").expect("reply");
+    let health = HealthReport::from_frame(&payload).expect("health report");
+    assert!(health.accepting, "{health:?}");
+    let serial = serial_reports();
+    let mut stream = open(daemon.addr);
+    write_frame(&mut stream, &job_frame(0, 2)).expect("send job");
+    for (i, expected) in serial.iter().take(2).enumerate() {
+        match next_msg(&mut stream) {
+            WorkerMsg::Report { index, report } => assert_eq!((index, &report), (i, expected)),
+            other => panic!("expected report {i}, got {other:?}"),
+        }
+    }
+    match next_msg(&mut stream) {
+        WorkerMsg::Done { count } => assert_eq!(count, 2),
+        other => panic!("expected done, got {other:?}"),
+    }
+}
+
 /// The retry and chunk policies ride the plan file: `exec.mode.hosts.retry`
 /// and `exec.mode.hosts.chunk` parse, round-trip, and are validated with a
 /// named field path both at parse time and for hand-built plans.
