@@ -130,7 +130,7 @@ fn throughput_phase(
     // BENCH_sweep.json as grid-point provenance for every row below.
     let plan = SweepPlan::paper(scenarios, base_seed).with_kernel(kernel);
     let runner = BatchRunner::new(paper_runtime(OptimizerKind::Offloading, kernel)?);
-    let specs = ScenarioSpec::paper_grid(scenarios, base_seed);
+    let specs: Vec<ScenarioSpec> = plan.expand().iter().map(|p| p.spec).collect();
     let per_count = specs.len() / 3;
     println!(
         "sweep throughput: {} scenarios ({} per obstacle count) on {} worker(s), \

@@ -32,8 +32,7 @@
 //!
 //! `--fault SPEC` arms deterministic fault injection (the
 //! [`FaultPlan`] grammar: `refuse=N,drop-after=K,stall-ms=T,garble=K,seed=S`)
-//! for exercising coordinator recovery; `--fail-after K` is the legacy
-//! sugar for `drop-after=K`. Never use either in production pools.
+//! for exercising coordinator recovery. Never use it in production pools.
 
 use seo_core::prelude::*;
 use seo_core::transport::{health_request_frame, read_frame, shutdown_request_frame, write_frame};
@@ -46,8 +45,7 @@ use std::time::Duration;
 /// text can never go stale against the enum. Printed with exit code 0 on
 /// `--help` and exit code 2 on any argument error.
 const USAGE_TEMPLATE: &str = "usage: sweepd [--listen HOST:PORT] [--kernel NAME] [--jobs N] \
-    [--timeout-secs T]\n              [--fault SPEC] [--fail-after K] [--health ADDR] \
-    [--shutdown ADDR]\n  \
+    [--timeout-secs T]\n              [--fault SPEC] [--health ADDR] [--shutdown ADDR]\n  \
     --listen       address to accept coordinator connections on (default 127.0.0.1:7641)\n  \
     --kernel       inference kernel backend: %KERNELS% (default scalar, or\n                 \
     SEO_KERNEL; bit-identical output, see docs/kernels.md)\n  \
@@ -55,7 +53,6 @@ const USAGE_TEMPLATE: &str = "usage: sweepd [--listen HOST:PORT] [--kernel NAME]
     --timeout-secs per-connection read/write timeout in seconds (default 30)\n  \
     --fault        deterministic fault injection, e.g. refuse=2,drop-after=5,seed=7\n                 \
     (keys: refuse, drop-after, stall-ms, stall-at, garble, seed; testing only)\n  \
-    --fail-after   legacy sugar for --fault drop-after=K (testing only)\n  \
     --health       client mode: print ADDR's health frame to stdout and exit\n  \
     --shutdown     client mode: ask ADDR to drain (finish jobs, refuse new ones, exit 0)\n  \
     --help, -h     print this usage and exit 0";
@@ -129,12 +126,6 @@ fn parse_cli() -> Result<CliOutcome, String> {
                     spec.parse::<FaultPlan>()
                         .map_err(|e| format!("--fault: {e}"))?,
                 );
-            }
-            "--fail-after" => {
-                let k = value("--fail-after")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--fail-after: {e}"))?;
-                faults = Some(FaultPlan::fail_after(k));
             }
             "--health" => probe = Some((value("--health")?, ProbeVerb::Health)),
             "--shutdown" => probe = Some((value("--shutdown")?, ProbeVerb::Shutdown)),

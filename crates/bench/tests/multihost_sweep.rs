@@ -22,7 +22,8 @@ fn serial_reports() -> Vec<EpisodeReport> {
     let models = ModelSet::paper_setup(config.tau).expect("paper models");
     let runtime =
         RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
-    BatchRunner::new(runtime).run_serial(&ScenarioSpec::paper_grid(SCENARIOS, SEED))
+    let specs = ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED);
+    BatchRunner::new(runtime).run_serial(&specs)
 }
 
 /// A running `seo-sweepd` child, killed on drop so failed assertions never
@@ -186,7 +187,7 @@ fn one_sweepd_serves_consecutive_sweeps_and_drains_on_shutdown() {
         let job = JobRequest {
             scenarios: SCENARIOS,
             seed: SEED,
-            plan: None,
+            plan: Some(SweepPlan::paper(SCENARIOS, SEED)),
             shard: Shard::new(0, SCENARIOS),
         };
         write_frame(&mut stream, &job.to_frame()).expect("send job");
@@ -258,7 +259,7 @@ fn killed_daemon_mid_stream_is_reissued_and_output_stays_identical() {
     let healthy = Daemon::spawn(&[]);
     // This daemon drops every connection after 1 report, without a done
     // frame — a real process dying mid-stream from the coordinator's view.
-    let doomed = Daemon::spawn(&["--fail-after", "1"]);
+    let doomed = Daemon::spawn(&["--fault", "drop-after=1"]);
     let hosts = write_hosts_file(&[(&healthy.addr, 1), (&doomed.addr, 2)]);
     let (stdout, stderr) = run_sweep_hosts(&hosts);
     let _ = std::fs::remove_file(&hosts);
@@ -282,7 +283,7 @@ fn killed_daemon_mid_stream_is_reissued_and_output_stays_identical() {
 /// readmission backoff, so the healthy host always wins the remnant.)
 #[test]
 fn chunked_hosts_file_reissues_and_steals_a_stranded_lease() {
-    let doomed = Daemon::spawn(&["--fail-after", "1"]);
+    let doomed = Daemon::spawn(&["--fault", "drop-after=1"]);
     let healthy = Daemon::spawn(&[]);
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let hosts = std::env::temp_dir().join(format!(

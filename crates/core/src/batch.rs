@@ -67,23 +67,6 @@ impl ScenarioSpec {
         specs
     }
 
-    /// The sweep-harness grid shared by every distributed mode: `scenarios`
-    /// cells spread over the paper's {0, 2, 4} obstacle counts (rounded up
-    /// to a multiple of three). The `sweep` binary's coordinator and
-    /// `--worker` modes, the `seo-sweepd` TCP worker, and
-    /// [`crate::transport::RemoteCoordinator`] all reconstruct the grid
-    /// through here, so `(scenarios, seed)` fully determines the spec list
-    /// on every machine involved.
-    ///
-    /// The declarative form of this grid is the named paper preset
-    /// [`crate::plan::SweepPlan::paper`], whose expansion is **byte-
-    /// identical** to this function (property-tested); multi-axis grids
-    /// beyond obstacles × seed are described there.
-    #[must_use]
-    pub fn paper_grid(scenarios: usize, base_seed: u64) -> Vec<Self> {
-        Self::grid(&[0, 2, 4], scenarios.div_ceil(3), base_seed)
-    }
-
     /// Generates the world for this spec (deterministic in the seed).
     #[must_use]
     pub fn world(&self) -> World {

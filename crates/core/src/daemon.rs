@@ -1,9 +1,8 @@
 //! The long-lived `seo-sweepd` service: a persistent, multi-job worker
 //! daemon over the [`crate::transport`] wire protocol.
 //!
-//! [`crate::transport::WorkerServer`] is the minimal building block — an
-//! accept loop that serves one job per connection and nothing else. This
-//! module grows it into a *service*:
+//! Each job runs through [`crate::transport::serve_job`], the one serve
+//! path; this module wraps it in a *service*:
 //!
 //! * **Persistence** — the accept loop survives per-connection errors and
 //!   serves any number of consecutive jobs; a client that disconnects
@@ -23,10 +22,10 @@
 //!   mid-stream drops, stalls, and garbled frames, keyed off a connection
 //!   counter, so every coordinator recovery path is exercisable in CI.
 //!
-//! v1/v2 job frames from pre-daemon clients are served unchanged — the
-//! first frame of a connection is dispatched by
-//! [`crate::transport::parse_daemon_request`], and anything that is not a
-//! `health`/`shutdown` verb takes the classic job path. A plan job whose
+//! The first frame of a connection is dispatched by
+//! [`crate::transport::parse_daemon_request`]: anything that is not a
+//! `health`/`shutdown` verb must be a plan-bearing (v2) job; a retired v1
+//! paper-grid frame is answered with an `error` frame. A plan job whose
 //! report mode is pure `summary` flows through the same path but ships a
 //! single [`crate::transport::summary_frame`] sketch payload instead of
 //! per-episode frames ([`crate::agg`]); the `episodes_emitted` counter

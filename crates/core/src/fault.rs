@@ -3,9 +3,9 @@
 //! The fleet's recovery paths — retry with backoff, quarantine, lease
 //! re-issue — are only trustworthy if they are *exercised*, and only
 //! debuggable if every exercised failure is **reproducible**. This module
-//! generalizes the old `--fail-after K` knob into a [`FaultPlan`]: a small,
-//! parseable description of which faults a daemon injects and when, as a
-//! pure function of the plan and a connection counter. No randomness leaks
+//! describes them as a [`FaultPlan`]: a small, parseable description of
+//! which faults a daemon injects and when, as a pure function of the plan
+//! and a connection counter. No randomness leaks
 //! in at injection time; the `seed` field only keys the garble keystream,
 //! so two runs with the same fault plan misbehave byte-for-byte alike.
 //!
@@ -20,8 +20,7 @@
 //! | `garble=K`     | corrupt report frame K into guaranteed non-UTF-8  | **fatal** (frame error) |
 //!
 //! A plan is spelled as comma-separated `key=value` pairs, e.g.
-//! `refuse=2,drop-after=5,seed=7`. The legacy `--fail-after K` flag is kept
-//! as sugar for `drop-after=K`.
+//! `refuse=2,drop-after=5,seed=7` — the value of `seo-sweepd --fault`.
 //!
 //! # Example
 //!
@@ -69,7 +68,7 @@ pub struct FaultPlan {
     /// transient fault it retries.
     pub refuse_connects: u64,
     /// Drop each serving connection after emitting K reports, without a
-    /// `done` frame — the classic mid-stream host death (`--fail-after`).
+    /// `done` frame — the classic mid-stream host death.
     pub drop_after: Option<usize>,
     /// Stall for this many milliseconds before emitting report
     /// [`Self::stall_at`] on each serving connection, tripping the
@@ -86,7 +85,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault plan equivalent of the legacy `--fail-after K` flag.
+    /// A plan that only drops each serving connection after `k` reports
+    /// (`drop-after=K`) — a host that reliably dies mid-stream.
     #[must_use]
     pub fn fail_after(k: usize) -> Self {
         Self {

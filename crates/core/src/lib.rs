@@ -141,7 +141,7 @@ pub mod prelude {
     pub use crate::shard::{Shard, ShardError, ShardPlan, ShardPlanner, StreamingMerge};
     pub use crate::transport::{
         FaultClass, HealthReport, HostPool, HostSpec, RemoteCoordinator, RemoteRunStats,
-        RetryPolicy, TransportError, WorkerServer,
+        RetryPolicy, TransportError,
     };
     pub use seo_nn::kernel::{BlockedKernel, Kernel, KernelBackend, ScalarKernel};
 }

@@ -2,8 +2,8 @@
 //!
 //! Before this module, "what does this sweep run, and how?" was smeared
 //! across four surfaces: [`crate::experiment::ExperimentConfig`] builders,
-//! [`ScenarioSpec::paper_grid`] (hard-coded to obstacles × seed), the
-//! `sweep` / `seo-sweepd` CLI flags, and environment variables. A
+//! a hard-coded obstacles × seed paper grid, the `sweep` / `seo-sweepd` CLI
+//! flags, and environment variables. A
 //! [`SweepPlan`] replaces all of them with a single typed, versioned value:
 //!
 //! * a **multi-axis scenario grid** ([`GridAxes`]) — obstacles × τ × gating
@@ -27,16 +27,16 @@
 //! control mode, optimizer, controller) vary in the outer loops, so each
 //! [`CellConfig`] owns one contiguous index range and a runtime is built
 //! once per cell, never per episode. With every runtime axis left at its
-//! single paper-default value, the expansion is **byte-identical** to
-//! [`ScenarioSpec::paper_grid`] — that invariant is what lets every legacy
-//! CLI flag desugar into a plan.
+//! single paper-default value, the expansion is **byte-identical** to the
+//! obstacles × seeds [`ScenarioSpec::grid`] — that invariant is what lets
+//! every legacy CLI flag desugar into a plan.
 //!
 //! # Example
 //!
 //! ```
 //! use seo_core::plan::SweepPlan;
 //!
-//! // The paper preset expands exactly like ScenarioSpec::paper_grid(6, 2023).
+//! // The paper preset: obstacles {0, 2, 4} x 2 seeds from 2023.
 //! let plan = SweepPlan::paper(6, 2023);
 //! assert_eq!(plan.n_specs(), 6);
 //! plan.validate()?;
@@ -416,7 +416,7 @@ pub struct SeedRange {
 /// The multi-axis scenario grid: every combination of these axes is one
 /// grid point. Axes with a single value simply pin that knob; the paper
 /// preset pins every runtime axis and sweeps obstacles × seeds, which is
-/// exactly [`ScenarioSpec::paper_grid`].
+/// the paper's obstacles × seeds evaluation grid.
 ///
 /// The first five axes were previously buried as `ExperimentConfig`
 /// defaults (τ, gating level, control mode) or CLI-only choices (optimizer,
@@ -448,7 +448,8 @@ impl GridAxes {
     /// The paper grid as axes: obstacles {0, 2, 4} ×
     /// `scenarios.div_ceil(3)` seeds from `base_seed`, every runtime axis at
     /// its paper-default single value. Expands **byte-identically** to
-    /// [`ScenarioSpec::paper_grid`]`(scenarios, base_seed)`.
+    /// [`ScenarioSpec::grid`]`(&[0, 2, 4], scenarios.div_ceil(3),
+    /// base_seed)`.
     #[must_use]
     pub fn paper(scenarios: usize, base_seed: u64) -> Self {
         Self {
@@ -467,16 +468,32 @@ impl GridAxes {
         }
     }
 
-    /// Runtime cells in the grid (product of the seven runtime axes).
+    /// Runtime cells in the grid (product of the seven runtime axes),
+    /// saturating at `usize::MAX` for a grid too large to count — which
+    /// [`SweepPlan::validate`] rejects.
     #[must_use]
     pub fn n_cells(&self) -> usize {
-        self.tau_ms.len()
-            * self.gating_levels.len()
-            * self.control_modes.len()
-            * self.optimizers.len()
-            * self.controllers.len()
-            * self.channels.len()
-            * self.traffic.len()
+        self.checked_n_cells().unwrap_or(usize::MAX)
+    }
+
+    fn checked_n_cells(&self) -> Option<usize> {
+        [
+            self.tau_ms.len(),
+            self.gating_levels.len(),
+            self.control_modes.len(),
+            self.optimizers.len(),
+            self.controllers.len(),
+            self.channels.len(),
+            self.traffic.len(),
+        ]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+    }
+
+    /// The grid size, or `None` when it overflows `usize`.
+    fn checked_n_specs(&self) -> Option<usize> {
+        self.checked_n_cells()?
+            .checked_mul(self.obstacles.len().checked_mul(self.seeds.runs)?)
     }
 
     /// Every axis's `(name, cardinality)` in expansion order — what `--plan
@@ -496,16 +513,17 @@ impl GridAxes {
         ]
     }
 
-    /// Scenario points per runtime cell (obstacles × seeds).
+    /// Scenario points per runtime cell (obstacles × seeds), saturating
+    /// like [`Self::n_cells`].
     #[must_use]
     pub fn specs_per_cell(&self) -> usize {
-        self.obstacles.len() * self.seeds.runs
+        self.obstacles.len().saturating_mul(self.seeds.runs)
     }
 
-    /// Total grid points.
+    /// Total grid points, saturating like [`Self::n_cells`].
     #[must_use]
     pub fn n_specs(&self) -> usize {
-        self.n_cells() * self.specs_per_cell()
+        self.checked_n_specs().unwrap_or(usize::MAX)
     }
 }
 
@@ -744,9 +762,9 @@ impl SweepPlan {
         }
     }
 
-    /// The named paper preset: [`GridAxes::paper`] run serially. Expands
-    /// byte-identically to [`ScenarioSpec::paper_grid`]`(scenarios,
-    /// base_seed)` — the invariant every legacy CLI flag desugars through.
+    /// The named paper preset: [`GridAxes::paper`] run serially — the one
+    /// definition of the paper grid, which every legacy CLI flag desugars
+    /// through.
     #[must_use]
     pub fn paper(scenarios: usize, base_seed: u64) -> Self {
         Self::new(GridAxes::paper(scenarios, base_seed))
@@ -992,7 +1010,8 @@ impl SweepPlan {
     }
 
     /// Expands the full grid, cell-major, with stable indices. The paper
-    /// preset's spec stream equals [`ScenarioSpec::paper_grid`] exactly.
+    /// preset's spec stream equals the obstacles × seeds
+    /// [`ScenarioSpec::grid`] exactly.
     #[must_use]
     pub fn expand(&self) -> Vec<GridPoint> {
         let mut points = Vec::with_capacity(self.n_specs());
@@ -1058,6 +1077,12 @@ impl SweepPlan {
         let n_specs = self.n_specs();
         if n_specs == 0 {
             problems.push("axes", "the plan expands to zero runs");
+        }
+        if axes.checked_n_specs().is_none() {
+            problems.push(
+                "axes",
+                "the grid is too large to count (its size overflows usize)",
+            );
         }
         match &self.mode {
             ExecMode::Serial => {}
@@ -1285,8 +1310,10 @@ impl SweepPlan {
     /// --worker`, the `seo-sweepd` daemon, and [`Self::run_serial`] all
     /// execute through here, which is why every mode is bit-identical.
     ///
-    /// A runtime is built once per cell the range overlaps; `kernel`
-    /// overrides the plan's backend (daemons run their own). The sink's
+    /// Only the cells the range overlaps are visited, and a runtime is
+    /// built once per such cell, so the cost is proportional to the range,
+    /// never to the whole grid; `kernel` overrides the plan's backend
+    /// (daemons run their own). The sink's
     /// return value is a stop signal: returning `false` abandons the rest
     /// of the range (a worker whose output pipe broke must not keep
     /// burning CPU on episodes nobody will read).
@@ -1311,8 +1338,11 @@ impl SweepPlan {
                 constraint: "lie inside the expanded grid",
             });
         }
+        if range.is_empty() {
+            return Ok(());
+        }
         let per_cell = self.axes.specs_per_cell();
-        for cell_index in 0..self.axes.n_cells() {
+        for cell_index in range.start / per_cell..range.end.div_ceil(per_cell) {
             let cell_range = Shard::new(cell_index * per_cell, (cell_index + 1) * per_cell);
             let start = cell_range.start.max(range.start);
             let end = cell_range.end.min(range.end);
@@ -1759,8 +1789,8 @@ mod tests {
             let specs: Vec<ScenarioSpec> = plan.expand().iter().map(|p| p.spec).collect();
             assert_eq!(
                 specs,
-                ScenarioSpec::paper_grid(scenarios, seed),
-                "paper({scenarios}, {seed}) must reproduce paper_grid"
+                ScenarioSpec::grid(&[0, 2, 4], scenarios.div_ceil(3), seed),
+                "paper({scenarios}, {seed}) must reproduce the obstacles x seeds grid"
             );
             // Stable indices are positional.
             for (i, point) in plan.expand().iter().enumerate() {
@@ -1830,6 +1860,29 @@ mod tests {
             .validate()
             .expect_err("7 workers over 6 specs");
         assert!(err.to_string().contains("exec.workers"));
+    }
+
+    #[test]
+    fn validation_rejects_a_grid_whose_size_overflows_usize() {
+        // Obstacles x seeds alone overflows: the counts saturate, never wrap.
+        let plan = SweepPlan::paper(3, 0).with_seeds(0, usize::MAX / 2);
+        assert_eq!(plan.axes.specs_per_cell(), usize::MAX);
+        assert_eq!(plan.n_specs(), usize::MAX);
+        let err = plan.validate().expect_err("overflowing grid");
+        assert!(err.to_string().contains("overflows usize"), "{err}");
+        // Cells x specs-per-cell overflows although each factor fits.
+        let plan = SweepPlan::paper(3, 0)
+            .with_seeds(0, usize::MAX / 4)
+            .with_tau_ms(vec![20.0, 25.0]);
+        assert_eq!(plan.axes.n_cells(), 2);
+        assert_eq!(plan.axes.specs_per_cell(), 3 * (usize::MAX / 4));
+        assert_eq!(plan.n_specs(), usize::MAX);
+        let err = plan.validate().expect_err("overflowing grid");
+        assert!(err.to_string().contains("overflows usize"), "{err}");
+        // A huge grid that still fits is not rejected for its size.
+        let plan = SweepPlan::paper(3, 0).with_seeds(0, usize::MAX / 4);
+        assert_eq!(plan.n_specs(), 3 * (usize::MAX / 4));
+        plan.validate().expect("a countable grid validates");
     }
 
     #[test]
@@ -1977,7 +2030,8 @@ mod tests {
         let models = ModelSet::paper_setup(config.tau).expect("paper models");
         let runtime =
             RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
-        let reference = BatchRunner::new(runtime).run_serial(&ScenarioSpec::paper_grid(6, 2023));
+        let reference =
+            BatchRunner::new(runtime).run_serial(&ScenarioSpec::grid(&[0, 2, 4], 2, 2023));
         assert_eq!(plan.run_serial().expect("runs"), reference);
     }
 

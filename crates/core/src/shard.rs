@@ -4,10 +4,10 @@
 //! this module scales the same grid across **processes** (the stepping stone
 //! to multi-host sharding) without changing a single output bit:
 //!
-//! 1. [`ShardPlanner`] partitions a [`ScenarioSpec`] grid into contiguous,
-//!    near-even shards. The plan depends only on `(specs, workers)`, never
-//!    on timing, and every spec carries its own seed — so shard boundaries
-//!    cannot perturb results ("seed-stable").
+//! 1. [`ShardPlanner`] partitions a spec grid into contiguous, near-even
+//!    shards. The plan depends only on `(specs, workers)`, never on timing,
+//!    and every spec carries its own seed — so shard boundaries cannot
+//!    perturb results ("seed-stable").
 //! 2. The **wire format** is line-delimited JSON: each worker writes one
 //!    [`report_line`] per episode (`{"v":1,"index":…,"report":{…}}`) to
 //!    stdout as soon as the episode finishes. Floats travel through the
@@ -27,38 +27,44 @@
 //!    anything is spawned.
 //!
 //! The `sweep` binary in `seo-bench` wires this to a CLI: `--workers N`
-//! runs the coordinator, `--worker START..END` runs one shard. The
-//! multi-host layer ([`crate::transport`]) ships the same wire lines over
-//! TCP instead of a child process's stdout.
+//! runs the coordinator, `--worker START..END` runs one shard through
+//! [`crate::plan::SweepPlan::run_range`]. The multi-host layer
+//! ([`crate::transport`]) ships the same wire lines over TCP instead of a
+//! child process's stdout.
 //!
 //! # Example
 //!
-//! Plan a grid, push each shard's lines through the wire format, and merge —
-//! the composition every distributed mode is built from:
+//! Plan shards over a grid, push each shard's episodes through the wire
+//! format, and merge — the composition every distributed mode is built
+//! from:
 //!
 //! ```
-//! use seo_core::shard::{parse_spec_line, spec_line, Shard, ShardPlanner};
-//! use seo_core::batch::ScenarioSpec;
+//! use seo_core::plan::SweepPlan;
+//! use seo_core::shard::{parse_report_line, report_line, Shard, ShardPlanner, StreamingMerge};
 //!
-//! let specs = ScenarioSpec::grid(&[0, 2, 4], 2, 2023); // 6 specs
-//! let plan = ShardPlanner::new(2).plan(specs.len())?;
-//! assert_eq!(plan.shards(), [Shard::new(0, 3), Shard::new(3, 6)]);
-//! // Every spec survives the line-delimited wire format exactly.
-//! for spec in &specs {
-//!     assert_eq!(parse_spec_line(&spec_line(spec))?, *spec);
+//! let plan = SweepPlan::paper(6, 2023); // 6 specs
+//! let shards = ShardPlanner::new(2).plan(plan.n_specs())?;
+//! assert_eq!(shards.shards(), [Shard::new(0, 3), Shard::new(3, 6)]);
+//! let mut merge = StreamingMerge::new(plan.n_specs());
+//! // Shards arrive in reverse; every report survives its wire line exactly.
+//! for &shard in shards.shards().iter().rev() {
+//!     plan.run_range(shard, plan.kernel, |i, report| {
+//!         let (index, back) = parse_report_line(&report_line(i, &report)).expect("wire line");
+//!         merge.accept(index, back).expect("each index once");
+//!         true
+//!     })?;
 //! }
-//! # Ok::<(), seo_core::shard::ShardError>(())
+//! assert_eq!(merge.finish()?, plan.run_serial()?);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::ScenarioSpec;
 use crate::json::Json;
 use crate::metrics::{DeltaMaxHistogram, EpisodeReport, ModelEnergyReport};
-use crate::runtime::{EpisodeScratch, RuntimeLoop, WorldSource};
 use seo_platform::energy::{EnergyCategory, EnergyLedger};
 use seo_platform::units::Joules;
 use seo_sim::episode::EpisodeStatus;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::str::FromStr;
@@ -214,58 +220,6 @@ impl Shard {
     /// The covered spec indices.
     pub fn indices(&self) -> std::ops::Range<usize> {
         self.start..self.end
-    }
-
-    /// Splits this shard into `weights.len()` contiguous sub-ranges whose
-    /// lengths are proportional to the weights (cumulative rounding), in
-    /// order and covering `[start, end)` exactly. Entries may come back
-    /// empty when the range holds fewer specs than there are weights — or
-    /// when a weight is zero. A zero weight **never** receives specs.
-    ///
-    /// This was the assignment primitive of the wave-era multi-host
-    /// transport (host capacities as weights); the coordinator has since
-    /// moved to pull-based lease scheduling ([`crate::lease`]), which
-    /// balances load dynamically instead of by up-front proportional
-    /// split. The primitive is kept for capacity-weighted partitioning in
-    /// general. It is a pure function of `(self, weights)`, so every
-    /// participant derives the same split.
-    ///
-    /// An all-zero (or empty) weight list yields no sub-ranges; callers
-    /// validate capacities before planning ([`crate::transport::HostPool`]
-    /// rejects zero-capacity hosts up front).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use seo_core::shard::Shard;
-    ///
-    /// let parts = Shard::new(0, 9).split_weighted(&[2, 1]);
-    /// assert_eq!(parts, [Shard::new(0, 6), Shard::new(6, 9)]);
-    /// ```
-    #[must_use]
-    pub fn split_weighted(&self, weights: &[u64]) -> Vec<Shard> {
-        let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        let len = self.len() as u128;
-        let mut parts = Vec::with_capacity(weights.len());
-        let mut cumulative: u128 = 0;
-        let mut prev_boundary = self.start;
-        for &w in weights {
-            cumulative += u128::from(w);
-            // round(len * cumulative / total) with integer math; monotonic
-            // in `cumulative`, and exactly `len` when cumulative == total.
-            #[allow(clippy::cast_possible_truncation)]
-            let boundary = self.start + ((len * cumulative * 2 + total) / (total * 2)) as usize;
-            parts.push(Shard::new(prev_boundary, boundary));
-            prev_boundary = boundary;
-        }
-        debug_assert_eq!(
-            prev_boundary, self.end,
-            "weighted split must cover the range"
-        );
-        parts
     }
 }
 
@@ -525,43 +479,6 @@ pub(crate) fn u64_from_wire(v: &Json, field: &str) -> Result<u64, ShardError> {
             .map_err(|_| wire_err(format!("{field}: '{s}' is not a u64"))),
         _ => Err(wire_err(format!("{field}: expected a u64"))),
     }
-}
-
-/// Encodes a spec as a wire object.
-#[must_use]
-pub fn spec_to_json(spec: &ScenarioSpec) -> Json {
-    Json::obj(vec![
-        ("n_obstacles", spec.n_obstacles.into()),
-        ("seed", u64_to_wire(spec.seed)),
-    ])
-}
-
-/// Decodes a spec from its wire object.
-///
-/// # Errors
-///
-/// [`ShardError::Wire`] on missing or mistyped fields.
-pub fn spec_from_json(json: &Json) -> Result<ScenarioSpec, ShardError> {
-    Ok(ScenarioSpec::new(
-        get_usize(json, "n_obstacles")?,
-        u64_from_wire(get(json, "seed")?, "seed")?,
-    ))
-}
-
-/// One spec as a wire line (line-delimited JSON).
-#[must_use]
-pub fn spec_line(spec: &ScenarioSpec) -> String {
-    spec_to_json(spec).render()
-}
-
-/// Parses one spec wire line.
-///
-/// # Errors
-///
-/// [`ShardError::Wire`] on malformed JSON or fields.
-pub fn parse_spec_line(line: &str) -> Result<ScenarioSpec, ShardError> {
-    let json = Json::parse(line).map_err(|e| wire_err(e.to_string()))?;
-    spec_from_json(&json)
 }
 
 fn ledger_to_json(ledger: &EnergyLedger) -> Json {
@@ -931,45 +848,6 @@ impl StreamingMerge {
 }
 
 // ---------------------------------------------------------------------------
-// Worker
-// ---------------------------------------------------------------------------
-
-/// Runs one shard of a spec grid and streams one [`report_line`] per episode
-/// to `out` (flushed per line, so the coordinator sees progress
-/// incrementally). Episodes run serially through the zero-allocation scratch
-/// path — exactly the loop [`crate::batch::BatchRunner::run_serial`] uses — so the
-/// concatenation of all shards' output is bit-identical to a serial sweep of
-/// the whole grid.
-///
-/// # Errors
-///
-/// [`ShardError::IndexOutOfRange`] when the shard reaches outside the grid,
-/// [`ShardError::Wire`] when `out` rejects a write (e.g. a closed pipe).
-pub fn run_worker_shard(
-    runtime: &RuntimeLoop,
-    specs: &[ScenarioSpec],
-    shard: Shard,
-    out: &mut dyn Write,
-) -> Result<(), ShardError> {
-    if shard.end > specs.len() {
-        return Err(ShardError::IndexOutOfRange {
-            index: shard.end.saturating_sub(1),
-            total: specs.len(),
-        });
-    }
-    let mut scratch = EpisodeScratch::new();
-    for i in shard.indices() {
-        let spec = specs[i];
-        let world = spec.world();
-        let report = runtime.run_with(WorldSource::Static(&world), spec.seed, &mut scratch);
-        writeln!(out, "{}", report_line(i, &report))
-            .and_then(|()| out.flush())
-            .map_err(|e| wire_err(format!("writing report {i}: {e}")))?;
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------------
 
@@ -1300,10 +1178,13 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchRunner;
+    use crate::batch::{BatchRunner, ScenarioSpec};
     use crate::config::SeoConfig;
+    use crate::error::SeoError;
     use crate::model::ModelSet;
     use crate::optimizer::OptimizerKind;
+    use crate::plan::SweepPlan;
+    use crate::runtime::RuntimeLoop;
 
     fn runner() -> BatchRunner {
         let config = SeoConfig::paper_defaults();
@@ -1393,50 +1274,6 @@ mod tests {
     }
 
     #[test]
-    fn split_weighted_covers_range_proportionally() {
-        // Capacity 2:1 over 9 specs → 6 + 3.
-        assert_eq!(
-            Shard::new(0, 9).split_weighted(&[2, 1]),
-            [Shard::new(0, 6), Shard::new(6, 9)]
-        );
-        // Non-zero-based ranges split in place (a partially-consumed range).
-        assert_eq!(
-            Shard::new(10, 14).split_weighted(&[1, 1]),
-            [Shard::new(10, 12), Shard::new(12, 14)]
-        );
-        // Tiny ranges may leave later entries empty, never uncovered.
-        let parts = Shard::new(0, 1).split_weighted(&[1, 1, 1]);
-        assert_eq!(parts.iter().map(Shard::len).sum::<usize>(), 1);
-        // Zero weights receive nothing.
-        let parts = Shard::new(0, 8).split_weighted(&[3, 0, 1]);
-        assert!(parts[1].is_empty());
-        assert_eq!(parts.iter().map(Shard::len).sum::<usize>(), 8);
-        // Degenerate weight lists yield no parts.
-        assert!(Shard::new(0, 5).split_weighted(&[]).is_empty());
-        assert!(Shard::new(0, 5).split_weighted(&[0, 0]).is_empty());
-    }
-
-    #[test]
-    fn split_weighted_is_deterministic_and_contiguous() {
-        for (len, weights) in [
-            (97usize, vec![1u64, 2, 3]),
-            (5, vec![7, 11]),
-            (1000, vec![1, 1, 1, 1, 1]),
-            (13, vec![u64::MAX / 2, u64::MAX / 2]),
-        ] {
-            let range = Shard::new(3, 3 + len);
-            let a = range.split_weighted(&weights);
-            assert_eq!(a, range.split_weighted(&weights), "pure function");
-            let mut expected_start = range.start;
-            for part in &a {
-                assert_eq!(part.start, expected_start, "contiguous in order");
-                expected_start = part.end;
-            }
-            assert_eq!(expected_start, range.end, "exact coverage");
-        }
-    }
-
-    #[test]
     fn shard_parses_cli_spec() {
         assert_eq!("3..7".parse::<Shard>().expect("valid"), Shard::new(3, 7));
         assert_eq!(Shard::new(3, 7).to_string(), "3..7");
@@ -1444,27 +1281,6 @@ mod tests {
         assert!("3..3".parse::<Shard>().is_err(), "empty range");
         assert!("3-7".parse::<Shard>().is_err());
         assert!("a..b".parse::<Shard>().is_err());
-    }
-
-    #[test]
-    fn spec_wire_round_trip() {
-        for spec in ScenarioSpec::grid(&[0, 2, 4], 3, u64::MAX - 1) {
-            let line = spec_line(&spec);
-            assert_eq!(parse_spec_line(&line).expect("parses"), spec, "{line}");
-            // Seeds above i64::MAX ride a decimal string, never a
-            // sign-wrapped negative integer a non-Rust peer would misread.
-            assert!(!line.contains('-'), "negative number leaked: {line}");
-        }
-        assert_eq!(
-            spec_line(&ScenarioSpec::new(1, u64::MAX)),
-            format!(r#"{{"n_obstacles":1,"seed":"{}"}}"#, u64::MAX)
-        );
-        assert!(parse_spec_line("{}").is_err());
-        assert!(parse_spec_line("not json").is_err());
-        assert!(
-            parse_spec_line(r#"{"n_obstacles":1,"seed":-2}"#).is_err(),
-            "negative seeds are rejected, not wrapped"
-        );
     }
 
     #[test]
@@ -1552,17 +1368,26 @@ mod tests {
         assert_eq!(merge.finish(), Err(ShardError::MissingReport { index: 1 }));
     }
 
+    /// The process engine's worker (`sweep --worker`) is
+    /// [`SweepPlan::run_range`] writing one wire line per episode.
+    fn worker_lines(plan: &SweepPlan, shard: Shard) -> Result<Vec<String>, SeoError> {
+        let mut lines = Vec::new();
+        plan.run_range(shard, plan.kernel, |i, report| {
+            lines.push(report_line(i, &report));
+            true
+        })?;
+        Ok(lines)
+    }
+
     #[test]
     fn worker_shard_output_matches_serial_slice() {
-        let runner = runner();
         let specs = ScenarioSpec::grid(&[0, 2], 2, 2023);
-        let serial = runner.run_serial(&specs);
+        let serial = runner().run_serial(&specs);
+        let plan = SweepPlan::paper(6, 2023).with_obstacles(vec![0, 2]);
         let shard = Shard::new(1, 3);
-        let mut buf = Vec::new();
-        run_worker_shard(runner.runtime(), &specs, shard, &mut buf).expect("runs");
-        let text = String::from_utf8(buf).expect("utf8");
-        let parsed: Vec<(usize, EpisodeReport)> = text
-            .lines()
+        let parsed: Vec<(usize, EpisodeReport)> = worker_lines(&plan, shard)
+            .expect("runs")
+            .iter()
             .map(|l| parse_report_line(l).expect("valid line"))
             .collect();
         assert_eq!(parsed.len(), shard.len());
@@ -1582,12 +1407,13 @@ mod tests {
 
     #[test]
     fn worker_shard_rejects_out_of_grid_shard() {
-        let runner = runner();
-        let specs = ScenarioSpec::grid(&[0], 2, 1);
-        let mut buf = Vec::new();
+        let plan = SweepPlan::paper(3, 1)
+            .with_obstacles(vec![0])
+            .with_seeds(1, 2);
+        assert_eq!(plan.n_specs(), 2);
         assert!(matches!(
-            run_worker_shard(runner.runtime(), &specs, Shard::new(1, 5), &mut buf),
-            Err(ShardError::IndexOutOfRange { .. })
+            worker_lines(&plan, Shard::new(1, 5)),
+            Err(SeoError::InvalidConfig { .. })
         ));
     }
 

@@ -10,13 +10,26 @@ use seo_core::reactor::OffloadExec;
 use seo_core::shard::{
     parse_report_line, parse_summary_line, report_line, summary_line, ShardPlanner, StreamingMerge,
 };
-use seo_core::transport::{HostPool, HostSpec, RemoteCoordinator, WorkerServer};
-use std::net::SocketAddr;
+use seo_core::transport::{
+    error_frame, read_frame, serve_job, write_frame, HostPool, HostSpec, JobRequest,
+    RemoteCoordinator, DEFAULT_TIMEOUT,
+};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
-/// Starts an in-process `seo-sweepd`-style worker on an OS-assigned
+/// Concurrent-job cap of [`spawn_loopback_worker`]'s daemon: above any
+/// pool capacity the suites use, so no `busy` retries appear.
+const LOOPBACK_JOBS: usize = 8;
+
+fn paper_runtime() -> RuntimeLoop {
+    let config = SeoConfig::paper_defaults();
+    let models = ModelSet::paper_setup(config.tau).expect("paper models");
+    RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("paper runtime")
+}
+
+/// Starts an in-process `seo-sweepd` ([`DaemonServer`]) on an OS-assigned
 /// loopback port and returns its address. Plan jobs ship the plan inline,
-/// so the legacy runtime handed to `serve` is never consulted by them.
+/// so the daemon's paper runtime only contributes its kernel backend.
 ///
 /// # Panics
 ///
@@ -24,33 +37,59 @@ use std::sync::Arc;
 /// cannot be built — both unconditional test-environment failures.
 #[must_use]
 pub fn spawn_loopback_worker() -> SocketAddr {
-    spawn_loopback_worker_with(None)
+    let config = DaemonConfig {
+        jobs: LOOPBACK_JOBS,
+        ..DaemonConfig::default()
+    };
+    let server = Arc::new(DaemonServer::bind("127.0.0.1:0", config).expect("bind loopback"));
+    let addr = server.local_addr().expect("local addr");
+    let runtime = Arc::new(paper_runtime());
+    std::thread::spawn(move || {
+        let _ = server.serve(runtime);
+    });
+    addr
 }
 
-/// Like [`spawn_loopback_worker`], but every connection the worker serves
-/// dies after `fail_after` fault-injector hooks — a host that reliably
-/// drops mid-shard, for exercising lease re-issue and the summary-mode
-/// all-or-nothing contract.
+/// A host that reliably dies mid-shard and never comes back: every job it
+/// serves drops the connection after `fail_after` fault-injector hooks,
+/// without a `done` frame, and any other first frame — a `health` probe
+/// included — gets an `error` frame. A coordinator that quarantines it
+/// therefore never readmits it (a [`DaemonServer`] would pass the probe
+/// and rejoin). Built on [`serve_job`], the daemon's own job path; it
+/// serves one connection at a time, which is all one coordinator's pull
+/// loop for a host ever opens.
 ///
 /// # Panics
 ///
 /// Same conditions as [`spawn_loopback_worker`].
 #[must_use]
 pub fn spawn_failing_loopback_worker(fail_after: usize) -> SocketAddr {
-    spawn_loopback_worker_with(Some(fail_after))
-}
-
-fn spawn_loopback_worker_with(fail_after: Option<usize>) -> SocketAddr {
-    let server = WorkerServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    let runtime =
-        Arc::new(RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("runtime"));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let runtime = paper_runtime();
+    let faults = FaultPlan::fail_after(fail_after);
     std::thread::spawn(move || {
-        let _ = server.serve(runtime, fail_after);
+        for mut stream in listener.incoming().flatten() {
+            let _ = stream.set_read_timeout(Some(DEFAULT_TIMEOUT));
+            let _ = stream.set_nodelay(true);
+            serve_failing(&mut stream, &runtime, &faults);
+        }
     });
     addr
+}
+
+fn serve_failing(stream: &mut TcpStream, runtime: &RuntimeLoop, faults: &FaultPlan) {
+    let Ok(Some(frame)) = read_frame(stream) else {
+        return;
+    };
+    match JobRequest::from_frame(&frame) {
+        Ok(job) => {
+            let _ = serve_job(stream, &job, runtime, &mut faults.injector(0));
+        }
+        Err(e) => {
+            let _ = write_frame(stream, &error_frame(&e.to_string()));
+        }
+    }
 }
 
 /// The determinism invariant as one assertion: the plan's merged NDJSON is

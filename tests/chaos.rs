@@ -16,8 +16,8 @@ use seo_core::batch::{BatchRunner, ScenarioSpec};
 use seo_core::prelude::*;
 use seo_core::shard::report_line;
 use seo_core::transport::{
-    health_request_frame, parse_worker_frame, read_frame, shutdown_request_frame, write_frame,
-    JobRequest, WorkerMsg,
+    health_request_frame, parse_worker_frame, read_frame, serve_job, shutdown_request_frame,
+    write_frame, JobRequest, WorkerMsg,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
@@ -32,8 +32,16 @@ fn paper_runtime() -> RuntimeLoop {
     RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
 }
 
+/// The paper grid every coordinator test runs.
+fn paper() -> SweepPlan {
+    SweepPlan::paper(SCENARIOS, SEED)
+}
+
+/// The independent reference: the batch engine's serial loop over the
+/// obstacles x seeds grid the paper preset expands to.
 fn serial_reports() -> Vec<EpisodeReport> {
-    BatchRunner::new(paper_runtime()).run_serial(&ScenarioSpec::paper_grid(SCENARIOS, SEED))
+    let specs = ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED);
+    BatchRunner::new(paper_runtime()).run_serial(&specs)
 }
 
 /// An in-process daemon plus the channel its `serve` result arrives on
@@ -109,7 +117,7 @@ fn job_frame(start: usize, end: usize) -> Vec<u8> {
     JobRequest {
         scenarios: SCENARIOS,
         seed: SEED,
-        plan: None,
+        plan: Some(paper()),
         shard: Shard::new(start, end),
     }
     .to_frame()
@@ -130,7 +138,7 @@ fn daemon_serves_consecutive_jobs_answers_health_and_drains() {
     let daemon = spawn_daemon(DaemonConfig::default());
     let coordinator = RemoteCoordinator::new(pool_of(&[(daemon.addr, 1)], RetryPolicy::default()));
     for run in 0..3 {
-        let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("daemon serves");
+        let (merged, stats) = coordinator.run_plan(&paper()).expect("daemon serves");
         assert_eq!(merged, serial, "run {run} must be bit-identical");
         assert!(stats.hosts_lost.is_empty(), "run {run} lost a host");
         assert_eq!(stats.reissues, 0, "run {run} needed a lease re-issue");
@@ -147,7 +155,7 @@ fn daemon_serves_consecutive_jobs_answers_health_and_drains() {
         // Dropping the stream here aborts the job server-side.
     }
     let (merged, _) = coordinator
-        .run(SCENARIOS, SEED)
+        .run_plan(&paper())
         .expect("still serving after the disconnect");
     assert_eq!(merged, serial);
     // Health: liveness plus cumulative stats over everything above.
@@ -219,9 +227,7 @@ fn dead_on_arrival_daemon_recovering_within_budget_finishes_its_lease() {
     };
     let coordinator = RemoteCoordinator::new(pool_of(&[(late_addr, 1), (healthy.addr, 1)], retry))
         .with_timeout(Duration::from_secs(5));
-    let (merged, stats) = coordinator
-        .run(SCENARIOS, SEED)
-        .expect("recovers in budget");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("recovers in budget");
     assert_eq!(merged, serial);
     assert!(
         stats.hosts_lost.is_empty(),
@@ -259,7 +265,7 @@ fn quarantined_daemon_is_probed_and_readmitted_mid_run() {
         base_delay_ms: 50,
     };
     let coordinator = RemoteCoordinator::new(pool_of(&[(flaky.addr, 1), (healthy.addr, 1)], retry));
-    let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("readmission run");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("readmission run");
     assert_eq!(merged, serial);
     assert!(stats.retries >= 1, "the refusals must burn retries");
     assert!(stats.quarantines >= 1, "budget exhaustion quarantines");
@@ -350,9 +356,7 @@ fn garbled_report_is_fatal_and_never_retried() {
     )
     .with_chunk(ChunkPolicy::Fixed(2));
     let coordinator = RemoteCoordinator::new(pool);
-    let (merged, stats) = coordinator
-        .run(SCENARIOS, SEED)
-        .expect("survives the garble");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("survives the garble");
     assert_eq!(merged, serial);
     assert_eq!(stats.hosts_lost.len(), 1);
     assert_eq!(stats.hosts_lost[0].addr, corrupt.addr.to_string());
@@ -432,34 +436,52 @@ fn async_plan_garble_stays_fatal_and_the_survivor_completes_the_merge() {
     assert!(stats.reissues >= 1, "the stranded remnant needs a re-issue");
 }
 
-/// Wire compatibility: the daemon serves a hand-assembled v1 (legacy
-/// paper-grid) job frame and a v2 (plan-bearing) frame, answering each
-/// with report payloads byte-for-byte identical to the serial wire lines.
+/// The wire contract after the paper-grid job's retirement: a
+/// hand-written v1 job frame gets an `error` frame, a job without a plan
+/// is refused (on the wire and by `serve_job` itself), and the same daemon
+/// then serves a v2 job byte-for-byte like `plan.run_serial()`.
 #[test]
-fn daemon_speaks_legacy_v1_and_plan_v2_frames() {
+fn daemon_refuses_v1_and_plan_less_jobs_and_serves_v2() {
     let daemon = spawn_daemon(DaemonConfig::default());
-    // v1: the exact bytes a pre-daemon coordinator sends.
-    let serial = serial_reports();
+    // v1: the exact bytes a paper-grid coordinator used to send.
     let mut stream = open(daemon.addr);
     let v1 = format!(
         r#"{{"v":1,"type":"job","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":2}}"#
     );
     write_frame(&mut stream, v1.as_bytes()).expect("send v1 job");
-    for (i, expected) in serial.iter().take(2).enumerate() {
-        let payload = read_frame(&mut stream)
-            .expect("read frame")
-            .expect("report");
-        assert_eq!(
-            String::from_utf8(payload).expect("report is text"),
-            report_line(i, expected),
-            "v1 report {i} must be byte-for-byte the serial wire line"
-        );
-    }
     match next_msg(&mut stream) {
-        WorkerMsg::Done { count } => assert_eq!(count, 2),
-        other => panic!("expected done, got {other:?}"),
+        WorkerMsg::Error { message } => assert!(message.contains("retired"), "{message}"),
+        other => panic!("expected an error frame for v1, got {other:?}"),
     }
-    // v2: a plan-bearing job through the same daemon, same contract.
+    // A plan-less job: refused on the wire...
+    let plan_less = JobRequest {
+        scenarios: SCENARIOS,
+        seed: SEED,
+        plan: None,
+        shard: Shard::new(0, 2),
+    };
+    let mut stream = open(daemon.addr);
+    write_frame(&mut stream, &plan_less.to_frame()).expect("send plan-less job");
+    match next_msg(&mut stream) {
+        WorkerMsg::Error { message } => assert!(message.contains("plan"), "{message}"),
+        other => panic!("expected an error frame for a plan-less job, got {other:?}"),
+    }
+    // ...and by serve_job when an in-process caller builds one.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut client = open(listener.local_addr().expect("addr"));
+    let (mut server_side, _) = listener.accept().expect("accept");
+    let served = serve_job(
+        &mut server_side,
+        &plan_less,
+        &paper_runtime(),
+        &mut FaultInjector::none(),
+    );
+    assert!(served.is_err(), "a plan-less job must not be served");
+    match next_msg(&mut client) {
+        WorkerMsg::Error { message } => assert!(message.contains("plan"), "{message}"),
+        other => panic!("expected an error frame from serve_job, got {other:?}"),
+    }
+    // v2: a plan-bearing job through the same daemon.
     let plan = SweepPlan::paper(3, SEED)
         .with_optimizers(vec![OptimizerKind::Offloading, OptimizerKind::ModelGating]);
     let plan_serial = plan.run_serial().expect("plan serial runs");
@@ -485,6 +507,40 @@ fn daemon_speaks_legacy_v1_and_plan_v2_frames() {
         WorkerMsg::Done { count } => assert_eq!(count, plan_serial.len()),
         other => panic!("expected done, got {other:?}"),
     }
+}
+
+/// A 427-byte plan job naming a grid of 3 x 10^11 specs used to abort the
+/// whole daemon: bounds-checking its one-spec shard expanded the grid (a
+/// 26 TB allocation). A lease now costs memory in proportion to its shard:
+/// the daemon serves the one report, finishes with `done`, and keeps
+/// answering health probes.
+#[test]
+fn a_lease_of_a_huge_grid_is_served_without_expanding_it() {
+    let daemon = spawn_daemon(DaemonConfig::default());
+    let plan = paper().with_seeds(SEED, 100_000_000_000);
+    assert_eq!(plan.n_specs(), 300_000_000_000);
+    let request = JobRequest {
+        scenarios: plan.n_specs(),
+        seed: SEED,
+        plan: Some(plan),
+        shard: Shard::new(0, 1),
+    };
+    let mut stream = open(daemon.addr);
+    write_frame(&mut stream, &request.to_frame()).expect("send job");
+    let serial = serial_reports();
+    match next_msg(&mut stream) {
+        WorkerMsg::Report { index, report } => assert_eq!((index, &report), (0, &serial[0])),
+        other => panic!("expected report 0, got {other:?}"),
+    }
+    match next_msg(&mut stream) {
+        WorkerMsg::Done { count } => assert_eq!(count, 1),
+        other => panic!("expected done, got {other:?}"),
+    }
+    let mut probe = open(daemon.addr);
+    write_frame(&mut probe, &health_request_frame()).expect("send health");
+    let payload = read_frame(&mut probe).expect("read frame").expect("reply");
+    let health = HealthReport::from_frame(&payload).expect("health report");
+    assert!(health.accepting, "{health:?}");
 }
 
 /// A hostile first frame (2 MB of nested `[`, well under the frame-size

@@ -7,10 +7,9 @@
 use seo_core::falsify::falsify;
 use seo_core::prelude::*;
 use seo_core::shard::{parse_report_line, report_line};
-use seo_core::transport::{HostPool, HostSpec, RemoteCoordinator, WorkerServer};
-use std::net::SocketAddr;
+use seo_core::transport::{HostPool, HostSpec, RemoteCoordinator};
+use seo_integration::spawn_loopback_worker;
 use std::path::Path;
-use std::sync::Arc;
 
 /// The committed falsify preset, with the search budget overridden so test
 /// runs stay cheap.
@@ -28,22 +27,6 @@ fn demo_plan(budget: usize, search_seed: u64) -> SweepPlan {
         ..spec
     });
     plan
-}
-
-/// Starts an in-process worker server on an OS-assigned loopback port. Plan
-/// jobs ship the plan inline, so the legacy runtime passed to `serve` is
-/// never consulted here.
-fn spawn_worker() -> SocketAddr {
-    let server = WorkerServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    let runtime =
-        Arc::new(RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("runtime"));
-    std::thread::spawn(move || {
-        let _ = server.serve(runtime, None);
-    });
-    addr
 }
 
 /// The determinism tentpole: two falsification runs of the same plan with
@@ -241,7 +224,7 @@ fn bursty_traffic_grid_merges_bit_identically_across_all_four_engines() {
     let pool = HostPool::new(
         (0..2)
             .map(|_| HostSpec {
-                addr: spawn_worker().to_string(),
+                addr: spawn_loopback_worker().to_string(),
                 capacity: 1,
             })
             .collect(),

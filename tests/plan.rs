@@ -1,5 +1,5 @@
 //! Workspace-level properties of the unified `SweepPlan` API: the paper
-//! preset's equivalence with the legacy grid, save → load → expand
+//! preset's equivalence with the obstacles x seeds grid, save → load → expand
 //! identity, the validation rejection table (one case per invalid field,
 //! each naming the field), and the multi-axis grid's agreement with the
 //! experiment harness's single-cell semantics.
@@ -16,14 +16,14 @@ fn paper_runtime() -> RuntimeLoop {
     RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
 }
 
-/// The acceptance invariant: the paper preset expands to exactly the specs
-/// of `ScenarioSpec::paper_grid` and its serial run is bit-identical —
-/// field-wise and on the wire — to `BatchRunner::run_serial` over that
-/// grid.
+/// The acceptance invariant: the paper preset expands to exactly the
+/// obstacles {0, 2, 4} x seeds `ScenarioSpec::grid` and its serial run is
+/// bit-identical — field-wise and on the wire — to `BatchRunner::run_serial`
+/// over that grid.
 #[test]
 fn paper_preset_is_bit_identical_to_the_legacy_grid() {
     let plan = SweepPlan::paper(6, 2023);
-    let legacy = ScenarioSpec::paper_grid(6, 2023);
+    let legacy = ScenarioSpec::grid(&[0, 2, 4], 2, 2023);
     let specs: Vec<ScenarioSpec> = plan.expand().iter().map(|p| p.spec).collect();
     assert_eq!(specs, legacy);
 

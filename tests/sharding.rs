@@ -6,14 +6,26 @@ use seo_core::batch::{BatchRunner, ScenarioSpec};
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{
-    parse_report_line, parse_spec_line, report_line, run_worker_shard, spec_line, Shard,
-    ShardError, ShardPlan, ShardPlanner, StreamingMerge,
+    parse_report_line, report_line, Shard, ShardError, ShardPlan, ShardPlanner, StreamingMerge,
 };
 
 fn runner(optimizer: OptimizerKind) -> BatchRunner {
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau).expect("paper models");
     BatchRunner::new(RuntimeLoop::new(config, models, optimizer).expect("valid runtime"))
+}
+
+/// One shard's worker output: the process engine's worker (`sweep
+/// --worker`) runs the shard through `SweepPlan::run_range` and writes one
+/// wire line per episode.
+fn worker_output(plan: &SweepPlan, shard: Shard) -> Vec<String> {
+    let mut lines = Vec::new();
+    plan.run_range(shard, plan.kernel, |i, report| {
+        lines.push(report_line(i, &report));
+        true
+    })
+    .expect("worker runs");
+    lines
 }
 
 #[test]
@@ -86,13 +98,6 @@ fn explicit_plan_validation_catches_misconfigurations() {
 }
 
 #[test]
-fn spec_wire_round_trips_across_the_paper_grid() {
-    for spec in ScenarioSpec::grid(&[0, 2, 4], 5, 2023) {
-        assert_eq!(parse_spec_line(&spec_line(&spec)).expect("parses"), spec);
-    }
-}
-
-#[test]
 fn report_wire_round_trip_is_exact_for_real_episodes() {
     let runner = runner(OptimizerKind::Offloading);
     // 0-obstacle episodes carry min_distance = +inf; 2/4-obstacle episodes
@@ -115,21 +120,21 @@ fn planner_merge_composition_reproduces_serial_sweep() {
     let runner = runner(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0, 2, 4], 2, 2023); // 6 specs
     let serial = runner.run_serial(&specs);
+    let sweep = SweepPlan::paper(6, 2023); // the same 6 specs
     for workers in [1usize, 2, 4] {
         let plan = ShardPlanner::new(workers).plan(specs.len()).expect("plan");
         // Collect every shard's wire output…
-        let mut outputs: Vec<String> = Vec::new();
-        for &shard in plan.shards() {
-            let mut buf = Vec::new();
-            run_worker_shard(runner.runtime(), &specs, shard, &mut buf).expect("worker runs");
-            outputs.push(String::from_utf8(buf).expect("utf8"));
-        }
+        let outputs: Vec<Vec<String>> = plan
+            .shards()
+            .iter()
+            .map(|&shard| worker_output(&sweep, shard))
+            .collect();
         // …and feed the lines in a worst-case arrival order: shards
         // reversed, so high indices land before low ones.
         let mut merge = StreamingMerge::new(specs.len());
         let mut drained = Vec::new();
         for output in outputs.iter().rev() {
-            for line in output.lines() {
+            for line in output {
                 let (index, report) = parse_report_line(line).expect("valid line");
                 merge.accept(index, report).expect("accepted");
                 drained.extend(merge.drain_ready());
@@ -210,17 +215,13 @@ fn merge_rejects_out_of_range_index_without_corrupting_state() {
 fn duplicate_wire_lines_surface_as_protocol_violations() {
     // End to end through the wire format: a worker stream that repeats an
     // index must fail the merge loudly, never overwrite silently.
-    let runner = runner(OptimizerKind::Offloading);
-    let specs = ScenarioSpec::grid(&[0, 2], 1, 2023);
-    let mut buf = Vec::new();
-    run_worker_shard(runner.runtime(), &specs, Shard::new(0, 2), &mut buf).expect("runs");
-    let text = String::from_utf8(buf).expect("utf8");
-    let mut lines: Vec<&str> = text.lines().collect();
-    lines.push(lines[0]); // replayed line, as a buggy transport might
+    let plan = SweepPlan::paper(3, 2023).with_obstacles(vec![0, 2]);
+    let mut lines = worker_output(&plan, Shard::new(0, 2));
+    lines.push(lines[0].clone()); // replayed line, as a buggy transport might
 
-    let mut merge = StreamingMerge::new(specs.len());
+    let mut merge = StreamingMerge::new(plan.n_specs());
     let mut violation = None;
-    for line in lines {
+    for line in &lines {
         let (index, report) = parse_report_line(line).expect("valid line");
         if let Err(e) = merge.accept(index, report) {
             violation = Some(e);

@@ -1,8 +1,9 @@
 //! Loopback-TCP properties of the multi-host sweep transport: host-pool
 //! validation, frame round-trips, pull-based lease scheduling, and the
-//! tentpole guarantee — the remote merge is bit-identical to
-//! `BatchRunner::run_serial` under 1/2/3 hosts, every chunk size, and
-//! injected mid-stream host failures (kills, dead hosts, stalls).
+//! tentpole guarantee — the remote merge of a `SweepPlan` is bit-identical
+//! to `BatchRunner::run_serial` over the same grid under 1/2/3 hosts, every
+//! chunk size, and injected mid-stream host failures (kills, dead hosts,
+//! stalls).
 
 use seo_core::batch::{BatchRunner, ScenarioSpec};
 use seo_core::prelude::*;
@@ -10,11 +11,11 @@ use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::report_line;
 use seo_core::transport::{
     done_frame, error_frame, parse_worker_frame, read_frame, write_frame, HostPool, HostSpec,
-    JobRequest, RemoteCoordinator, TransportError, WorkerMsg, WorkerServer,
+    JobRequest, RemoteCoordinator, TransportError, WorkerMsg,
 };
+use seo_integration::{spawn_failing_loopback_worker, spawn_loopback_worker};
 use std::io::Cursor;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
 use std::time::Duration;
 
 const SCENARIOS: usize = 6;
@@ -26,21 +27,16 @@ fn paper_runtime() -> RuntimeLoop {
     RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
 }
 
-fn serial_reports() -> Vec<EpisodeReport> {
-    BatchRunner::new(paper_runtime()).run_serial(&ScenarioSpec::paper_grid(SCENARIOS, SEED))
+/// The paper grid every coordinator test runs.
+fn paper() -> SweepPlan {
+    SweepPlan::paper(SCENARIOS, SEED)
 }
 
-/// Starts an in-process worker server on an OS-assigned loopback port and
-/// returns its address. `fail_after` injects a mid-stream connection drop
-/// after that many reports on **every** job the host serves.
-fn spawn_worker(fail_after: Option<usize>) -> SocketAddr {
-    let server = WorkerServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let runtime = Arc::new(paper_runtime());
-    std::thread::spawn(move || {
-        let _ = server.serve(runtime, fail_after);
-    });
-    addr
+/// The independent reference: the batch engine's serial loop over the
+/// obstacles x seeds grid the paper preset expands to.
+fn serial_reports() -> Vec<EpisodeReport> {
+    let specs = ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED);
+    BatchRunner::new(paper_runtime()).run_serial(&specs)
 }
 
 fn pool_of(hosts: &[(SocketAddr, u64)]) -> HostPool {
@@ -195,40 +191,25 @@ fn frames_round_trip_and_reject_garbage() {
 
 #[test]
 fn protocol_frames_round_trip() {
+    // Jobs ship the whole plan inline and round-trip it.
     let request = JobRequest {
         scenarios: 60,
         seed: u64::MAX, // string-encoded seed path included
-        plan: None,
-        shard: seo_core::shard::Shard::new(15, 30),
-    };
-    assert_eq!(
-        JobRequest::from_frame(&request.to_frame()).expect("round-trips"),
-        request
-    );
-
-    // Plan-bearing jobs ship the whole plan inline and round-trip it.
-    let request = JobRequest {
         plan: Some(
             SweepPlan::paper(6, 7)
                 .with_optimizers(vec![OptimizerKind::Offloading, OptimizerKind::ModelGating]),
         ),
-        ..request
+        shard: seo_core::shard::Shard::new(15, 30),
     };
     let back = JobRequest::from_frame(&request.to_frame()).expect("round-trips");
     assert_eq!(back, request);
-    assert_eq!(
-        back.specs().len(),
-        12,
-        "plan grid overrides (scenarios, seed)"
-    );
-    // Plan jobs bump the frame version so a pre-plan daemon rejects them
-    // loudly instead of silently running the legacy paper grid.
+    // Jobs speak frame version 2; the retired v1 paper-grid job is
+    // refused, plan or no plan.
     let frame = String::from_utf8(request.to_frame()).expect("utf8");
     assert!(frame.starts_with(r#"{"v":2,"#), "{frame}");
-    assert!(
-        JobRequest::from_frame(frame.replace(r#"{"v":2,"#, r#"{"v":1,"#).as_bytes()).is_err(),
-        "a v1 frame must not smuggle a plan"
-    );
+    let err = JobRequest::from_frame(frame.replace(r#"{"v":2,"#, r#"{"v":1,"#).as_bytes())
+        .expect_err("v1 frames are retired");
+    assert!(err.to_string().contains("retired"), "{err}");
     let v2_missing_plan = br#"{"v":2,"type":"job","scenarios":6,"seed":7,"start":0,"end":6}"#;
     assert!(
         JobRequest::from_frame(v2_missing_plan).is_err(),
@@ -285,10 +266,10 @@ fn multi_host_merge_is_bit_identical_to_serial() {
     for capacities in [vec![1u64], vec![3, 1], vec![1, 2, 1]] {
         let hosts: Vec<(SocketAddr, u64)> = capacities
             .iter()
-            .map(|&c| (spawn_worker(None), c))
+            .map(|&c| (spawn_loopback_worker(), c))
             .collect();
         let coordinator = RemoteCoordinator::new(pool_of(&hosts));
-        let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("runs");
+        let (merged, stats) = coordinator.run_plan(&paper()).expect("runs");
         assert!(stats.hosts_lost.is_empty(), "no losses expected");
         assert_eq!(stats.reissues, 0, "no lease should need re-issue");
         assert_eq!(
@@ -319,10 +300,10 @@ fn every_chunk_size_merges_bit_identical_to_serial() {
     ] {
         for n_hosts in 1..=3usize {
             let hosts: Vec<(SocketAddr, u64)> =
-                (0..n_hosts).map(|_| (spawn_worker(None), 1)).collect();
+                (0..n_hosts).map(|_| (spawn_loopback_worker(), 1)).collect();
             let pool = pool_of(&hosts).with_chunk(policy);
             let (merged, stats) = RemoteCoordinator::new(pool)
-                .run(SCENARIOS, SEED)
+                .run_plan(&paper())
                 .expect("runs");
             let chunk = policy.resolve(SCENARIOS, n_hosts);
             assert_eq!(stats.chunk, chunk, "{policy:?} over {n_hosts} host(s)");
@@ -347,11 +328,11 @@ fn every_chunk_size_merges_bit_identical_to_serial() {
 #[test]
 fn streaming_sink_sees_reports_strictly_in_spec_order() {
     let serial = serial_reports();
-    let hosts = [(spawn_worker(None), 1), (spawn_worker(None), 1)];
+    let hosts = [(spawn_loopback_worker(), 1), (spawn_loopback_worker(), 1)];
     let coordinator = RemoteCoordinator::new(pool_of(&hosts));
     let mut seen = Vec::new();
     coordinator
-        .run_streaming(SCENARIOS, SEED, |i, report| seen.push((i, report)))
+        .run_plan_streaming(&paper(), |i, report| seen.push((i, report)))
         .expect("streams");
     assert_eq!(seen.len(), serial.len());
     for (k, (i, report)) in seen.iter().enumerate() {
@@ -367,8 +348,8 @@ fn streaming_sink_sees_reports_strictly_in_spec_order() {
 #[test]
 fn mid_stream_host_kill_reissues_to_survivors() {
     let serial = serial_reports();
-    let healthy = spawn_worker(None);
-    let doomed = spawn_worker(Some(1));
+    let healthy = spawn_loopback_worker();
+    let doomed = spawn_failing_loopback_worker(1);
     let pool = pool_of(&[(healthy, 1), (doomed, 1)])
         .with_chunk(ChunkPolicy::Fixed(3))
         .with_retry(RetryPolicy {
@@ -376,7 +357,7 @@ fn mid_stream_host_kill_reissues_to_survivors() {
             base_delay_ms: 10,
         });
     let coordinator = RemoteCoordinator::new(pool);
-    let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("survives the kill");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("survives the kill");
     assert_eq!(merged, serial, "re-issued merge must stay bit-identical");
     assert_eq!(stats.hosts_lost.len(), 1, "exactly one host lost");
     assert_eq!(stats.hosts_lost[0].addr, doomed.to_string());
@@ -401,10 +382,10 @@ fn dead_on_arrival_host_is_stolen_around() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.local_addr().expect("addr")
     };
-    let healthy = spawn_worker(None);
+    let healthy = spawn_loopback_worker();
     let coordinator = RemoteCoordinator::new(pool_of(&[(dead_addr, 2), (healthy, 1)]))
         .with_timeout(Duration::from_secs(5));
-    let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("survives");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("survives");
     assert_eq!(merged, serial);
     assert_eq!(stats.hosts_lost.len(), 1);
     assert_eq!(stats.hosts_lost[0].addr, dead_addr.to_string());
@@ -428,12 +409,10 @@ fn stalled_host_times_out_and_is_stolen_around() {
         });
         addr
     };
-    let healthy = spawn_worker(None);
+    let healthy = spawn_loopback_worker();
     let coordinator = RemoteCoordinator::new(pool_of(&[(stall_addr, 1), (healthy, 1)]))
         .with_timeout(Duration::from_millis(400));
-    let (merged, stats) = coordinator
-        .run(SCENARIOS, SEED)
-        .expect("survives the stall");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("survives the stall");
     assert_eq!(merged, serial);
     assert_eq!(stats.hosts_lost.len(), 1);
     assert_eq!(stats.hosts_lost[0].addr, stall_addr.to_string());
@@ -444,10 +423,10 @@ fn stalled_host_times_out_and_is_stolen_around() {
 #[test]
 fn losing_every_host_fails_with_no_survivors() {
     let coordinator = RemoteCoordinator::new(pool_of(&[
-        (spawn_worker(Some(0)), 1),
-        (spawn_worker(Some(1)), 1),
+        (spawn_failing_loopback_worker(0), 1),
+        (spawn_failing_loopback_worker(1), 1),
     ]));
-    match coordinator.run(SCENARIOS, SEED) {
+    match coordinator.run_plan(&paper()) {
         Err(TransportError::NoSurvivors { remaining, .. }) => {
             assert!(remaining > 0, "stranded specs must be counted");
         }
@@ -464,7 +443,7 @@ fn empty_grid_completes_without_touching_the_network() {
     }])
     .expect("valid pool");
     let (merged, stats) = RemoteCoordinator::new(pool)
-        .run(0, SEED)
+        .run_plan(&SweepPlan::paper(0, SEED))
         .expect("empty run");
     assert!(merged.is_empty());
     assert_eq!(stats.jobs, 0);
@@ -483,7 +462,7 @@ fn plan_dispatch_is_bit_identical_to_plan_serial() {
     for capacities in [vec![1u64], vec![2, 1]] {
         let hosts: Vec<(SocketAddr, u64)> = capacities
             .iter()
-            .map(|&c| (spawn_worker(None), c))
+            .map(|&c| (spawn_loopback_worker(), c))
             .collect();
         let coordinator = RemoteCoordinator::new(pool_of(&hosts));
         let (merged, stats) = coordinator.run_plan(&plan).expect("plan runs");
@@ -498,19 +477,18 @@ fn plan_dispatch_is_bit_identical_to_plan_serial() {
     }
 }
 
-/// Lease re-issue works for plan jobs exactly as for legacy jobs: a host
-/// injected to die mid-stream burns its retry budget one report at a
-/// time, strands its lease tail, and the survivor steals the re-queued
+/// Lease re-issue after retries: a host injected to die mid-stream burns
+/// its retry budget one report at a time, strands its lease tail, and the survivor steals the re-queued
 /// remnant — the merge still reproduces the plan's serial output. (The
 /// lease must be bigger than the retry budget: a lease small enough to
 /// finish within the budget would simply complete, which is the retry
 /// layer's whole point.)
 #[test]
 fn plan_dispatch_survives_a_mid_stream_kill() {
-    let plan = SweepPlan::paper(SCENARIOS, SEED);
+    let plan = paper();
     let serial = plan.run_serial().expect("plan serial runs");
-    let dying = spawn_worker(Some(1));
-    let healthy = spawn_worker(None);
+    let dying = spawn_failing_loopback_worker(1);
+    let healthy = spawn_loopback_worker();
     let pool = pool_of(&[(dying, 1), (healthy, 1)])
         .with_chunk(ChunkPolicy::Fixed(3))
         .with_retry(RetryPolicy {
