@@ -22,8 +22,9 @@
 //!
 //! **Harness mode** (no mode flag) keeps the original two phases:
 //!
-//! Phase 1 — **throughput**: fans the paper-preset grid through
-//! [`BatchRunner`] serially and on all cores, verifies the parallel output
+//! Phase 1 — **throughput**: runs the paper-preset plan through
+//! [`SweepPlan::run_serial`] and through the threads engine
+//! ([`SweepPlan::run_threads`]) on all cores, verifies the parallel output
 //! is bit-identical to the serial loop, and writes `BENCH_sweep.json`
 //! (scenarios/sec, ns/step, speedup, grid-point provenance) so later PRs
 //! have a perf trajectory to compare against.
@@ -47,7 +48,7 @@
 
 use seo_bench::json::Json;
 use seo_bench::report::{pct, runs_from_env, Table};
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch;
 use seo_core::falsify;
 use seo_core::plan::{ExecMode, SweepPlan};
 use seo_core::prelude::*;
@@ -61,12 +62,6 @@ use seo_wireless::channel::RayleighChannel;
 use seo_wireless::link::WirelessLink;
 use std::io::Write as _;
 use std::time::Instant;
-
-fn paper_runtime(optimizer: OptimizerKind, kernel: KernelBackend) -> Result<RuntimeLoop, SeoError> {
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau)?;
-    Ok(RuntimeLoop::new(config, models, optimizer)?.with_kernel(kernel))
-}
 
 struct SweepTiming {
     label: String,
@@ -98,27 +93,21 @@ impl SweepTiming {
 
 fn timed_sweep(
     label: &str,
-    runner: &BatchRunner,
-    specs: &[ScenarioSpec],
-    serial: bool,
-) -> (SweepTiming, Vec<EpisodeReport>) {
+    run: impl FnOnce() -> Result<Vec<EpisodeReport>, SeoError>,
+) -> Result<(SweepTiming, Vec<EpisodeReport>), SeoError> {
     let start = Instant::now();
-    let reports = if serial {
-        runner.run_serial(specs)
-    } else {
-        runner.run(specs)
-    };
+    let reports = run()?;
     let elapsed_secs = start.elapsed().as_secs_f64();
     let steps: usize = reports.iter().map(|r| r.steps).sum();
-    (
+    Ok((
         SweepTiming {
             label: label.to_owned(),
-            scenarios: specs.len(),
+            scenarios: reports.len(),
             steps,
             elapsed_secs,
         },
         reports,
-    )
+    ))
 }
 
 fn throughput_phase(
@@ -129,19 +118,20 @@ fn throughput_phase(
     // The throughput grid is the paper-preset plan; its JSON rides along in
     // BENCH_sweep.json as grid-point provenance for every row below.
     let plan = SweepPlan::paper(scenarios, base_seed).with_kernel(kernel);
-    let runner = BatchRunner::new(paper_runtime(OptimizerKind::Offloading, kernel)?);
-    let specs: Vec<ScenarioSpec> = plan.expand().iter().map(|p| p.spec).collect();
-    let per_count = specs.len() / 3;
+    let threads = batch::default_threads();
     println!(
-        "sweep throughput: {} scenarios ({} per obstacle count) on {} worker(s), \
+        "sweep throughput: {} scenarios ({} per obstacle count) on {threads} worker(s), \
          kernel backend '{kernel}'\n",
-        specs.len(),
-        per_count,
-        runner.threads()
+        plan.n_specs(),
+        plan.n_specs() / 3,
     );
 
-    let (serial, serial_reports) = timed_sweep("serial", &runner, &specs, true);
-    let (parallel, parallel_reports) = timed_sweep("parallel", &runner, &specs, false);
+    // Build the process-wide deadline table untimed, so the first timed
+    // row does not pay that one-time set-up. The parallel row times the
+    // engine `{"threads": N}` plans run.
+    plan.cells()[0].0.runtime(kernel)?;
+    let (serial, serial_reports) = timed_sweep("serial", || plan.run_serial())?;
+    let (parallel, parallel_reports) = timed_sweep("parallel", || plan.run_threads(threads))?;
     let identical = serial_reports == parallel_reports;
     assert!(
         identical,
@@ -170,17 +160,17 @@ fn throughput_phase(
     // fail-fast crashes. The first backend (scalar) is the bit-exactness
     // reference; the gated serial/parallel rows above keep the chosen
     // backend. Each cell records the grid cell it ran as provenance.
-    let neural_cell = seo_core::plan::CellConfig {
-        controller: ControllerKind::SeededNeural(0),
-        ..plan.cells()[0].0
-    };
+    let neural = plan
+        .clone()
+        .with_controllers(vec![ControllerKind::SeededNeural(0)]);
+    let neural_cell = neural.cells()[0].0;
     let mut backend_cells = Vec::new();
     let mut backend_table = Table::new(vec!["kernel", "scenarios/s", "ns/step", "elapsed"]);
     let mut reference: Option<Vec<EpisodeReport>> = None;
     for backend in KernelBackend::ALL {
-        let backend_runner = BatchRunner::new(neural_cell.runtime(backend)?);
+        let backend_plan = neural.clone().with_kernel(backend);
         let label = format!("neural/{}", backend.name());
-        let (timing, reports) = timed_sweep(&label, &backend_runner, &specs, true);
+        let (timing, reports) = timed_sweep(&label, || backend_plan.run_serial())?;
         match &reference {
             None => reference = Some(reports),
             Some(expected) => assert!(
@@ -216,7 +206,7 @@ fn throughput_phase(
     parallel_row.push(("grid".to_owned(), plan.cells()[0].0.to_json()));
 
     Ok(Json::obj(vec![
-        ("threads", runner.threads().into()),
+        ("threads", threads.into()),
         ("kernel", kernel.name().into()),
         // The plan whose expanded grid produced every row in this dump —
         // grid-point provenance for the perf trajectory.
@@ -321,7 +311,11 @@ fn gains_with_link(
     runs: usize,
     kernel: KernelBackend,
 ) -> Result<f64, SeoError> {
-    let runtime = paper_runtime(OptimizerKind::Offloading, kernel)?.with_link(link);
+    let config = SeoConfig::paper_defaults();
+    let models = ModelSet::paper_setup(config.tau)?;
+    let runtime = RuntimeLoop::new(config, models, OptimizerKind::Offloading)?
+        .with_kernel(kernel)
+        .with_link(link);
     let mut optimized = seo_platform::energy::EnergyLedger::new();
     let mut baseline = seo_platform::energy::EnergyLedger::new();
     let mut scratch = EpisodeScratch::new();
@@ -597,7 +591,7 @@ fn worker_mode(cli: &Cli, shard: Shard) -> Result<(), Box<dyn std::error::Error>
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     if !cli.plan.emits_episodes() {
-        let mut summary = cli.plan.run_summary();
+        let mut summary = RunSummary::for_range(shard, cli.plan.axes.specs_per_cell());
         cli.plan.run_range(shard, cli.kernel, |i, report| {
             summary.record(i, &report);
             true

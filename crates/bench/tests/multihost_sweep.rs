@@ -2,10 +2,10 @@
 //! daemons on loopback TCP ports plus the `sweep --hosts` coordinator CLI —
 //! actual OS processes speaking the length-delimited frame protocol — with
 //! the merged output asserted **bit-identical** to an in-process
-//! `BatchRunner::run_serial`, clean runs and injected mid-stream host kills
+//! loop of direct episode runs, clean runs and injected mid-stream host kills
 //! alike. This is the same shape the CI loopback smoke runs.
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::parse_report_line;
@@ -22,8 +22,10 @@ fn serial_reports() -> Vec<EpisodeReport> {
     let models = ModelSet::paper_setup(config.tau).expect("paper models");
     let runtime =
         RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
-    let specs = ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED);
-    BatchRunner::new(runtime).run_serial(&specs)
+    ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED)
+        .iter()
+        .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+        .collect()
 }
 
 /// A running `seo-sweepd` child, killed on drop so failed assertions never

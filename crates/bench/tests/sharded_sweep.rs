@@ -3,9 +3,9 @@
 //! These spawn the real `sweep` binary (via `CARGO_BIN_EXE_sweep`) as
 //! coordinator and workers — actual OS processes talking the line-delimited
 //! JSON wire format — and assert the merged output is **bit-identical** to
-//! an in-process [`BatchRunner::run_serial`] over the same grid.
+//! one in-process episode per spec of the same grid.
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{parse_report_line, report_line, Coordinator, ShardError, ShardPlanner};
@@ -25,7 +25,10 @@ fn serial_reports() -> Vec<EpisodeReport> {
     let models = ModelSet::paper_setup(config.tau).expect("paper models");
     let runtime =
         RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
-    BatchRunner::new(runtime).run_serial(&grid())
+    grid()
+        .iter()
+        .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+        .collect()
 }
 
 fn common_args() -> [String; 4] {

@@ -820,7 +820,8 @@ pub fn cells_from_json(json: &Json) -> Result<Vec<CellSketch>, ShardError> {
 // ---------------------------------------------------------------------------
 
 /// The whole-run accumulator: one [`CellSketch`] per grid cell, folded in
-/// spec-index order.
+/// spec-index order. A shard's accumulator ([`Self::for_range`]) holds only
+/// the cells its range overlaps, under their grid-wide indices.
 ///
 /// Engines that see episodes in order (serial, threads, the process/host
 /// coordinators' merged streams) call [`Self::record`] per episode;
@@ -832,6 +833,8 @@ pub fn cells_from_json(json: &Json) -> Result<Vec<CellSketch>, ShardError> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     cells: Vec<CellSketch>,
+    /// Grid index of `cells[0]`.
+    first_cell: usize,
     specs_per_cell: usize,
 }
 
@@ -842,7 +845,24 @@ impl RunSummary {
     pub fn new(n_cells: usize, specs_per_cell: usize) -> Self {
         Self {
             cells: (0..n_cells).map(CellSketch::new).collect(),
+            first_cell: 0,
             specs_per_cell: specs_per_cell.max(1),
+        }
+    }
+
+    /// An empty summary of only the cells `range` overlaps, under their
+    /// grid-wide indices, so its [`Self::fragment`] equals a whole-grid
+    /// summary's for the same episodes.
+    #[must_use]
+    pub fn for_range(range: Shard, specs_per_cell: usize) -> Self {
+        let specs_per_cell = specs_per_cell.max(1);
+        let first_cell = range.start / specs_per_cell;
+        Self {
+            cells: (first_cell..range.end.div_ceil(specs_per_cell))
+                .map(CellSketch::new)
+                .collect(),
+            first_cell,
+            specs_per_cell,
         }
     }
 
@@ -862,10 +882,10 @@ impl RunSummary {
     ///
     /// # Panics
     ///
-    /// Panics when `spec_index` lies outside the grid — a protocol bug, not
-    /// a runtime condition.
+    /// Panics when `spec_index` lies outside the summary's cells — a
+    /// protocol bug, not a runtime condition.
     pub fn record(&mut self, spec_index: usize, report: &EpisodeReport) {
-        let cell = spec_index / self.specs_per_cell;
+        let cell = spec_index / self.specs_per_cell - self.first_cell;
         self.cells[cell].record(report);
     }
 
@@ -877,7 +897,11 @@ impl RunSummary {
     pub fn fold_fragment(&mut self, cells: &[CellSketch]) -> Result<(), ShardError> {
         for sketch in cells {
             let n_cells = self.cells.len();
-            let slot = self.cells.get_mut(sketch.cell).ok_or_else(|| {
+            let slot = sketch
+                .cell
+                .checked_sub(self.first_cell)
+                .and_then(|i| self.cells.get_mut(i));
+            let slot = slot.ok_or_else(|| {
                 wire_err(format!(
                     "fragment names cell {} outside grid of {n_cells} cell(s)",
                     sketch.cell

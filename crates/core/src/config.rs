@@ -9,7 +9,7 @@ use std::fmt;
 /// The paper evaluates both: *filtered* (shield active) and *unfiltered*
 /// (raw controls applied directly); safety deadlines are sampled in either
 /// case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Hash)]
 pub enum ControlMode {
     /// Ψ corrects unsafe controls before actuation.
     Filtered,

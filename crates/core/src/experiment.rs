@@ -21,10 +21,11 @@
 //! # Ok::<(), seo_core::SeoError>(())
 //! ```
 
-use crate::batch::{BatchRunner, ScenarioSpec};
+use crate::batch;
 use crate::config::{ControlMode, EnergyAccounting, SeoConfig};
 use crate::controller::Controller;
 use crate::error::SeoError;
+use crate::lease;
 use crate::metrics::{EpisodeReport, ExperimentSummary};
 use crate::model::ModelSet;
 use crate::optimizer::OptimizerKind;
@@ -245,13 +246,13 @@ impl ExperimentConfig {
         })
     }
 
-    /// Parallel variant of [`Self::run`]: fans episode attempts out over a
-    /// [`BatchRunner`] worker pool, in waves so a mostly-successful
-    /// configuration does not burn the whole `max_attempts` budget.
-    /// Episodes are independent (seeded per attempt) and each wave is
-    /// consumed in seed order, so the selected successful-run set — and
-    /// therefore the summary — is **identical** to the sequential
-    /// protocol's.
+    /// Parallel variant of [`Self::run`]: fans episode attempts out over
+    /// `threads` workers pulling leases ([`lease::run_leased`]; 0 is
+    /// clamped to 1), in waves so a mostly-successful configuration does
+    /// not burn the whole `max_attempts` budget. Episodes are independent
+    /// (seeded per attempt) and each wave is consumed in seed order, so the
+    /// selected successful-run set — and therefore the summary — is
+    /// **identical** to the sequential protocol's.
     ///
     /// # Errors
     ///
@@ -260,10 +261,9 @@ impl ExperimentConfig {
         let runtime = RuntimeLoop::new(self.seo, self.models.clone(), self.optimizer)?
             .with_controller(self.controller.clone())
             .with_kernel(self.kernel);
-        let runner = BatchRunner::new(runtime).with_threads(threads);
         // Slightly over-provision each wave for expected failures so most
         // experiments finish in a single wave.
-        let wave = (self.runs + self.runs / 4 + runner.threads()).max(1);
+        let wave = self.runs + self.runs / 4 + threads.max(1);
 
         let mut successes = Vec::with_capacity(self.runs);
         let mut failures = 0usize;
@@ -271,15 +271,21 @@ impl ExperimentConfig {
         let mut offset = 0usize;
         while successes.len() < self.runs && offset < self.max_attempts {
             let n = wave.min(self.max_attempts - offset);
-            let specs: Vec<ScenarioSpec> = (0..n as u64)
-                .map(|k| {
-                    ScenarioSpec::new(
-                        self.n_obstacles,
-                        self.base_seed.wrapping_add(offset as u64 + k),
-                    )
-                })
-                .collect();
-            for report in runner.run(&specs) {
+            let Ok(reports) = lease::run_leased(n, threads, |attempts| {
+                let mut scratch = EpisodeScratch::new();
+                let reports = attempts
+                    .indices()
+                    .map(|k| {
+                        let seed = self.base_seed.wrapping_add((offset + k) as u64);
+                        let world = ScenarioConfig::new(self.n_obstacles)
+                            .with_seed(seed)
+                            .generate();
+                        runtime.run_with(WorldSource::Static(&world), seed, &mut scratch)
+                    })
+                    .collect();
+                Ok::<_, std::convert::Infallible>(reports)
+            });
+            for report in reports {
                 if successes.len() >= self.runs {
                     break;
                 }
@@ -309,14 +315,14 @@ impl ExperimentConfig {
     }
 
     /// [`Self::run_parallel`] on the default pool size
-    /// ([`BatchRunner::default_threads`]: `SEO_THREADS` or all available
-    /// cores) — what the experiment binaries and benches call.
+    /// ([`batch::default_threads`]: `SEO_THREADS` or all available cores) —
+    /// what the experiment binaries and benches call.
     ///
     /// # Errors
     ///
     /// Same as [`Self::run`].
     pub fn run_auto(&self) -> Result<ExperimentResult, SeoError> {
-        self.run_parallel(BatchRunner::default_threads())
+        self.run_parallel(batch::default_threads())
     }
 }
 
@@ -474,6 +480,19 @@ mod tests {
             "parallel must reproduce the protocol"
         );
         assert_eq!(seq.failures, par.failures);
+    }
+
+    #[test]
+    fn run_parallel_clamps_zero_workers_to_one() {
+        // Zero workers still run every wave (on the calling thread), and
+        // the selected runs equal the sequential protocol's.
+        let config = quick(OptimizerKind::ModelGating, 0, ControlMode::Filtered);
+        let seq = config.run().expect("sequential runs");
+        for threads in [0usize, 1, 3] {
+            let par = config.run_parallel(threads).expect("parallel runs");
+            assert_eq!(par.reports, seq.reports, "{threads} worker(s)");
+            assert_eq!(par.failures, seq.failures);
+        }
     }
 
     #[test]

@@ -416,12 +416,18 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing on
-                    // char boundaries is safe via chars()).
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape at once:
+                    // both are ASCII, so the run ends on a char boundary,
+                    // and each byte is decoded once (linear, not once per
+                    // char over the rest of the input).
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -573,6 +579,20 @@ mod tests {
     fn parse_string_escapes() {
         let v = Json::parse(r#""a\"b\\c\n\u0041""#).expect("ok");
         assert_eq!(v, Json::from("a\"b\\c\nA"));
+    }
+
+    #[test]
+    fn parse_strings_in_linear_time() {
+        // Multibyte text next to escapes decodes exactly.
+        let v = Json::parse(r#"["σ→τ\"x", "ünï\u0041"]"#).expect("ok");
+        assert_eq!(v, Json::Arr(vec!["σ→τ\"x".into(), "ünïA".into()]));
+        // A 2 MB document of short strings parses in well under a second
+        // (decoding each char against the rest of the input took minutes).
+        let doc = Json::Arr(vec![Json::from("sideways"); 200_000]).render();
+        let started = std::time::Instant::now();
+        let back = Json::parse(&doc).expect("parses");
+        assert_eq!(back.as_arr().map(<[Json]>::len), Some(200_000));
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]

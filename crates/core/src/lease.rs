@@ -1,15 +1,16 @@
-//! Pull-based lease scheduling for multi-host sweeps: the chunk policy and
-//! the blocking lease queue behind [`crate::transport::RemoteCoordinator`].
+//! Pull-based lease scheduling: the chunk policy, the blocking lease queue
+//! behind [`crate::transport::RemoteCoordinator`], and [`run_leased`], the
+//! in-process parallel engine that feeds threads from the same queue.
 //!
 //! A **lease** is a small contiguous spec range `[start, end)` of the sweep
-//! grid, granted to one host for one connection. Instead of assigning each
-//! host a capacity-weighted slice of the whole grid up front, the
-//! coordinator carves the grid into chunk-sized leases and lets hosts *pull*
-//! the next lease whenever they are idle — so a fast host simply takes more
-//! leases, and a straggler's slowness costs at most one chunk of tail
-//! latency. When a host dies, times out, or is quarantined mid-lease, the
-//! unreported remainder of its lease is returned to the queue and re-issued
-//! to whichever host asks next (a *steal* when that is a different host).
+//! grid, granted to one worker — a host for one connection, or a thread.
+//! Instead of assigning each worker a slice of the whole grid up front, the
+//! grid is carved into chunk-sized leases and workers *pull* the next lease
+//! whenever they are idle — so a fast worker simply takes more leases, and
+//! a straggler's slowness costs at most one chunk of tail latency. When a
+//! host dies, times out, or is quarantined mid-lease, the unreported
+//! remainder of its lease is returned to the queue and re-issued to
+//! whichever host asks next (a *steal* when that is a different host).
 //!
 //! Determinism is untouched by any of this: every episode is a pure
 //! function of its spec, and the streaming merge reorders reports by spec
@@ -55,6 +56,7 @@
 use crate::json::Json;
 use crate::shard::Shard;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -62,9 +64,9 @@ use std::time::Duration;
 /// field (`"chunk": N` or `"chunk": "auto"` in a hosts pool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChunkPolicy {
-    /// `specs / (4 × hosts)`, clamped to at least 1 spec — roughly four
-    /// leases per host, enough pull granularity to absorb stragglers
-    /// without drowning small grids in per-connection overhead.
+    /// `specs / (4 × workers)`, clamped to at least 1 spec — roughly four
+    /// leases per host or thread, enough pull granularity to absorb
+    /// stragglers without drowning small grids in per-lease overhead.
     #[default]
     Auto,
     /// Exactly this many specs per lease (the last lease takes the
@@ -73,12 +75,12 @@ pub enum ChunkPolicy {
 }
 
 impl ChunkPolicy {
-    /// The concrete chunk size for a grid of `n_specs` over `n_hosts`.
-    /// Always ≥ 1, so a lease is never empty.
+    /// The concrete chunk size for a grid of `n_specs` over `n_workers`
+    /// hosts or threads. Always ≥ 1, so a lease is never empty.
     #[must_use]
-    pub fn resolve(&self, n_specs: usize, n_hosts: usize) -> usize {
+    pub fn resolve(&self, n_specs: usize, n_workers: usize) -> usize {
         match *self {
-            Self::Auto => (n_specs / (4 * n_hosts.max(1))).max(1),
+            Self::Auto => (n_specs / (4 * n_workers.max(1))).max(1),
             Self::Fixed(chunk) => chunk.max(1),
         }
     }
@@ -268,6 +270,87 @@ impl LeaseQueue {
     }
 }
 
+/// Completes a popped lease when dropped, even by a panic, so the other
+/// workers' `pop` calls never wait on it.
+struct Held<'q>(&'q LeaseQueue);
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.0.complete();
+    }
+}
+
+/// The in-process parallel engine: runs `0..n` on `workers` scoped threads
+/// (0 means 1) that pull leases from one [`LeaseQueue`] carved by
+/// [`ChunkPolicy::Auto`], and returns the values in index order. `run`
+/// maps a lease to its values, one per index; when it is a pure function
+/// of the lease, as every episode loop is, the result does not depend on
+/// the worker count. One worker, or one lease, runs on the calling thread.
+///
+/// # Errors
+///
+/// After a lease returns `Err` no thread pulls another, and the error of
+/// the failed lease with the lowest start is returned.
+///
+/// # Panics
+///
+/// Re-raises a panic from `run` once every thread has stopped.
+///
+/// # Example
+///
+/// ```
+/// use seo_core::lease::run_leased;
+///
+/// // Squares of 0..10 over 3 threads: the leases land on whichever thread
+/// // is idle, yet the values come back in index order.
+/// let squares = run_leased(10, 3, |lease| {
+///     Ok::<_, String>(lease.indices().map(|i| i * i).collect::<Vec<_>>())
+/// })?;
+/// assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
+/// # Ok::<(), String>(())
+/// ```
+pub fn run_leased<T, E, F>(n: usize, workers: usize, run: F) -> Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(Shard) -> Result<Vec<T>, E> + Sync,
+{
+    let workers = workers.max(1);
+    let queue = LeaseQueue::new(Shard::new(0, n), ChunkPolicy::Auto.resolve(n, workers));
+    let failed = AtomicBool::new(false);
+    let pull = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let Some(lease) = queue.pop() else { break };
+            let _held = Held(&queue);
+            let result = run(lease.shard);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            done.push((lease.shard.start, result));
+        }
+        done
+    };
+    let threads = workers.min(queue.initial_leases());
+    let mut done = if threads <= 1 {
+        pull()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(pull)).collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().expect("lease worker panicked"))
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(start, _)| start);
+    let mut values = Vec::with_capacity(n);
+    for (_, result) in done {
+        values.extend(result?);
+    }
+    Ok(values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,5 +465,63 @@ mod tests {
         assert_eq!(stolen.reissued_from, Some(0));
         queue.complete();
         assert!(queue.is_finished());
+    }
+
+    #[test]
+    fn run_leased_returns_values_in_index_order_for_any_worker_count() {
+        // 10 indices carve into 1..=10 leases depending on the worker
+        // count; 8 workers over 10 indices get one-index leases, and 3
+        // workers over 2 indices get more threads than leases.
+        let serial: Vec<usize> = (0..10).map(|i| i * 7 + 1).collect();
+        for workers in [1usize, 2, 3, 8] {
+            let values = run_leased(10, workers, |lease| {
+                Ok::<_, ()>(lease.indices().map(|i| i * 7 + 1).collect())
+            });
+            assert_eq!(values, Ok(serial.clone()), "{workers} worker(s)");
+        }
+        let few = run_leased(2, 3, |lease| Ok::<_, ()>(lease.indices().collect()));
+        assert_eq!(few, Ok(vec![0, 1]));
+    }
+
+    #[test]
+    fn run_leased_of_an_empty_range_is_empty() {
+        for workers in [0usize, 1, 4] {
+            let values = run_leased(0, workers, |_| -> Result<Vec<u8>, ()> {
+                panic!("an empty range has no lease to run")
+            });
+            assert_eq!(values, Ok(Vec::new()));
+        }
+    }
+
+    #[test]
+    fn run_leased_returns_a_lease_error_without_hanging() {
+        // 40 indices over 4 workers: leases of 2 (auto chunk 40/16). The
+        // lease holding index 13 fails; every popped lease is completed,
+        // so no thread blocks in `pop`, and the call returns its error.
+        for workers in [1usize, 2, 4] {
+            let result = run_leased(40, workers, |lease| {
+                if lease.indices().contains(&13) {
+                    Err(lease.start)
+                } else {
+                    Ok(lease.indices().collect::<Vec<_>>())
+                }
+            });
+            let chunk = ChunkPolicy::Auto.resolve(40, workers);
+            assert_eq!(result, Err(13 / chunk * chunk), "{workers} worker(s)");
+        }
+        // Every lease failing reports the first one.
+        let result = run_leased(40, 4, |lease| Err::<Vec<()>, _>(lease.start));
+        assert_eq!(result, Err(0));
+    }
+
+    #[test]
+    fn run_leased_re_raises_a_lease_panic_without_hanging() {
+        let result = std::panic::catch_unwind(|| {
+            run_leased(16, 2, |lease| {
+                assert!(lease.start != 4, "lease at 4 panics");
+                Ok::<_, ()>(lease.indices().collect::<Vec<_>>())
+            })
+        });
+        assert!(result.is_err(), "the panic must reach the caller");
     }
 }

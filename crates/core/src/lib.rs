@@ -49,8 +49,10 @@
 //!   line-delimited JSON wire format, the streaming deterministic merge, and
 //!   the worker-process coordinator.
 //! * [`lease`] — pull-based work-stealing scheduling: the chunk policy
-//!   (`exec.hosts.chunk`) and the blocking lease queue hosts pull spec
-//!   ranges from, with failed leases re-queued for re-issue.
+//!   (`exec.hosts.chunk`), the blocking lease queue hosts pull spec ranges
+//!   from (failed leases re-queued for re-issue), and
+//!   [`lease::run_leased`], the in-process engine whose threads pull from
+//!   the same kind of queue.
 //! * [`transport`] — multi-host sweeps: length-delimited TCP framing over
 //!   the same wire format, validated host pools with retry policies, and
 //!   the fault-tolerant remote coordinator (retry with backoff, host
@@ -116,7 +118,7 @@ pub mod prelude {
     pub use crate::agg::{
         CellSketch, QuantileSketch, ReportMode, ReportSpec, RunSummary, StatSketch,
     };
-    pub use crate::batch::{BatchRunner, ScenarioSpec};
+    pub use crate::batch::ScenarioSpec;
     pub use crate::config::{ControlMode, EnergyAccounting, OffloadFallback, SeoConfig};
     pub use crate::controller::Controller;
     pub use crate::daemon::{DaemonConfig, DaemonServer, DaemonStats};

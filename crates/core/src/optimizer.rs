@@ -22,7 +22,7 @@ use seo_platform::units::Joules;
 use std::fmt;
 
 /// Which optimization method a Λ′ model uses for its Ω slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Hash)]
 pub enum OptimizerKind {
     /// No optimization: the full model runs at every sampling instant
     /// (the baseline every experiment compares against).

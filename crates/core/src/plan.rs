@@ -49,24 +49,26 @@
 //! ```
 
 use crate::agg::{ReportSpec, RunSummary};
-use crate::batch::{BatchRunner, ScenarioSpec};
+use crate::batch::ScenarioSpec;
 use crate::config::{ControlMode, SeoConfig};
 use crate::controller::Controller;
 use crate::error::SeoError;
 use crate::falsify::FalsifySpec;
 use crate::json::Json;
+use crate::lease;
 use crate::metrics::EpisodeReport;
 use crate::model::ModelSet;
 use crate::optimizer::OptimizerKind;
 use crate::reactor::{OffloadExec, Reactor};
 use crate::runtime::{EpisodeScratch, EpisodeTask, RuntimeLoop, TaskSource, WorldSource};
-use crate::shard::{self, Shard, ShardPlanner};
+use crate::shard::{self, Shard};
 use crate::transport::HostPool;
 use seo_nn::kernel::KernelBackend;
 use seo_platform::units::Seconds;
 use seo_sim::traffic::{TrafficPattern, TrafficProfile};
 use seo_wireless::link::WirelessLink;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Plan schema version stamped on every saved plan (`"v":1`). Bumped
@@ -152,7 +154,7 @@ impl Problems {
 
 /// A *named* driving controller — the serializable form of
 /// [`Controller`] that a plan axis can sweep and a JSON file can carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Hash)]
 pub enum ControllerKind {
     /// [`Controller::default`]: the stock potential-field agent — what every
     /// sweep mode has always run, and therefore the paper preset's value.
@@ -226,7 +228,7 @@ impl fmt::Display for ControllerKind {
 
 /// A *named* wireless channel regime — the serializable form of
 /// [`seo_wireless::link::FadingChannel`] a plan axis can sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Hash)]
 pub enum ChannelKind {
     /// The paper's memoryless Rayleigh link
     /// ([`WirelessLink::paper_default`]) — the value every pre-existing
@@ -285,7 +287,7 @@ impl fmt::Display for ChannelKind {
 /// spec's world into a [`seo_sim::dynamics::DynamicWorld`] with the
 /// profile's deterministic movers; the episode then samples deadlines from
 /// the full dynamic φ instead of the static lookup table.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub enum TrafficKind {
     /// No movers — the paper's static-obstacle scenarios (and the paper
     /// preset's default).
@@ -680,7 +682,8 @@ pub struct GridPoint {
 pub enum ExecMode {
     /// One thread, one scratch — the reference loop.
     Serial,
-    /// [`BatchRunner`] worker threads in this process.
+    /// Worker threads in this process pulling leases of the grid
+    /// ([`SweepPlan::run_threads`]).
     Threads(
         /// Worker thread count.
         usize,
@@ -1394,71 +1397,26 @@ impl SweepPlan {
         Ok(reports)
     }
 
-    /// Runs the grid on an in-process [`BatchRunner`] pool, cell by cell.
-    /// Bit-identical to [`Self::run_serial`] for any thread count (the
-    /// batch engine's determinism invariant, applied per cell).
-    ///
-    /// With async offload each worker thread instead drives a [`Reactor`]
-    /// over one contiguous shard of the grid (planned like the worker
-    /// processes, remainder on the leading shards), so every thread keeps
-    /// its own in-flight window; the shards are stitched back in grid
-    /// order.
+    /// Runs the grid on `threads` in-process worker threads that pull
+    /// leases of the grid from one queue ([`crate::lease::run_leased`]);
+    /// each lease runs through [`Self::run_range`], so it takes the
+    /// blocking scratch loop or a [`Reactor`] per `exec.offload`, with one
+    /// in-flight window per lease. Bit-identical to [`Self::run_serial`]
+    /// for any thread count: every episode is a pure function of its spec,
+    /// and the leases are stitched back in grid order.
     ///
     /// # Errors
     ///
     /// Same as [`Self::run_range`].
     pub fn run_threads(&self, threads: usize) -> Result<Vec<EpisodeReport>, SeoError> {
-        if self.offload.is_async() {
-            return self.run_threads_async(threads);
-        }
-        let mut reports = Vec::with_capacity(self.n_specs());
-        let per_cell = self.axes.specs_per_cell();
-        for (cell, _) in self.cells() {
-            let specs: Vec<ScenarioSpec> =
-                (0..per_cell).map(|w| self.spec_within_cell(w)).collect();
-            let runner = BatchRunner::new(cell.runtime(self.kernel)?).with_threads(threads);
-            reports.extend(runner.run_with_episode(&specs, |runtime, spec, scratch| {
-                cell.run_spec(runtime, *spec, scratch)
-            }));
-        }
-        Ok(reports)
-    }
-
-    /// The threads engine's async path: one scoped thread per contiguous
-    /// shard, each running [`Self::run_range`] (and therefore a reactor)
-    /// over its own slice of the grid.
-    fn run_threads_async(&self, threads: usize) -> Result<Vec<EpisodeReport>, SeoError> {
-        let shard_plan = ShardPlanner::new(threads)
-            .plan_clamped(self.n_specs())
-            .map_err(|_| SeoError::InvalidConfig {
-                field: "threads",
-                constraint: "partition the expanded grid",
+        lease::run_leased(self.n_specs(), threads, |range| {
+            let mut reports = Vec::with_capacity(range.len());
+            self.run_range(range, self.kernel, |_, report| {
+                reports.push(report);
+                true
             })?;
-        let buckets: Vec<Result<Vec<EpisodeReport>, SeoError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_plan
-                .shards()
-                .iter()
-                .map(|&shard| {
-                    scope.spawn(move || {
-                        let mut local = Vec::with_capacity(shard.len());
-                        self.run_range(shard, self.kernel, |_, report| {
-                            local.push(report);
-                            true
-                        })?;
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker thread panicked"))
-                .collect()
-        });
-        let mut reports = Vec::with_capacity(self.n_specs());
-        for bucket in buckets {
-            reports.extend(bucket?);
-        }
-        Ok(reports)
+            Ok(reports)
+        })
     }
 }
 
@@ -1480,8 +1438,11 @@ impl fmt::Display for SweepPlan {
 // ---------------------------------------------------------------------------
 
 /// Axis validation shared by every axis: non-empty, no duplicates, plus a
-/// per-value check (`None` = fine, `Some(msg)` = problem).
-fn check_axis<T: PartialEq + fmt::Debug>(
+/// per-value check (`None` = fine, `Some(msg)` = problem). Each kind of
+/// problem is reported once per axis, naming the first offending value and
+/// counting the rest; duplicates are found by sorting, so any axis
+/// validates in O(n log n) time with a bounded message.
+fn check_axis<T: PartialOrd + fmt::Debug>(
     problems: &mut Problems,
     field: &str,
     values: &[T],
@@ -1494,13 +1455,33 @@ fn check_axis<T: PartialEq + fmt::Debug>(
         );
         return;
     }
-    for (i, v) in values.iter().enumerate() {
-        if let Some(message) = value_check(v) {
-            problems.push(field, message);
-        }
-        if values[..i].contains(v) {
-            problems.push(field, format!("duplicate value {v:?}"));
-        }
+    let mut bad = values.iter().filter_map(&value_check);
+    if let Some(first) = bad.next() {
+        problems.push(field, with_more(first, bad.count()));
+    }
+    // Values that do not compare with themselves (NaN) equal nothing; the
+    // rest are totally ordered, and the stable sort keeps equal values in
+    // input order, so each later one in a run of equals is a duplicate.
+    let mut order: Vec<usize> = (0..values.len())
+        .filter(|&i| values[i].partial_cmp(&values[i]).is_some())
+        .collect();
+    order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap_or(Ordering::Equal));
+    let duplicates: Vec<usize> = order
+        .windows(2)
+        .filter_map(|pair| (values[pair[0]] == values[pair[1]]).then_some(pair[1]))
+        .collect();
+    if let Some(&first) = duplicates.iter().min() {
+        let message = format!("duplicate value {:?}", values[first]);
+        problems.push(field, with_more(message, duplicates.len() - 1));
+    }
+}
+
+/// Appends how many further values share a problem.
+fn with_more(message: String, more: usize) -> String {
+    if more == 0 {
+        message
+    } else {
+        format!("{message} (and {more} more value(s) on this axis)")
     }
 }
 
@@ -1515,21 +1496,25 @@ fn parse_string_axis<T>(
         return None;
     };
     let mut out = Vec::with_capacity(items.len());
-    let mut ok = true;
+    let mut first_bad = None;
+    let mut more = 0usize;
     for item in items {
-        match item.as_str().map(&parse) {
-            Some(Ok(v)) => out.push(v),
-            Some(Err(message)) => {
-                problems.push(field, message);
-                ok = false;
-            }
-            None => {
-                problems.push(field, "expected an array of strings");
-                ok = false;
-            }
+        let value = item
+            .as_str()
+            .map_or_else(|| Err("expected an array of strings".to_owned()), &parse);
+        match value {
+            Ok(v) => out.push(v),
+            Err(message) if first_bad.is_none() => first_bad = Some(message),
+            Err(_) => more += 1,
         }
     }
-    ok.then_some(out)
+    match first_bad {
+        None => Some(out),
+        Some(message) => {
+            problems.push(field, with_more(message, more));
+            None
+        }
+    }
 }
 
 fn parse_control_mode(value: &str) -> Result<ControlMode, String> {
@@ -1863,6 +1848,69 @@ mod tests {
     }
 
     #[test]
+    fn huge_axes_validate_quickly_with_bounded_messages() {
+        // 10^6 values, all duplicates of 0 and all out of range for tau:
+        // one problem per kind, each naming the first offender.
+        let zeros = SweepPlan::paper(3, 0).with_tau_ms(vec![0.0; 1_000_000]);
+        let started = std::time::Instant::now();
+        let err = zeros.validate().expect_err("all zeros");
+        assert_eq!(err.problems.len(), 2, "{err}");
+        assert!(err.to_string().len() < 400, "{err}");
+        assert!(err.to_string().contains("duplicate value 0.0"), "{err}");
+        assert!(err.to_string().contains("99999 more"), "{err}");
+        // 10^6 distinct values with one duplicate at the end.
+        let mut tau: Vec<f64> = (1..=1_000_000).map(f64::from).collect();
+        tau.push(17.0);
+        let err = SweepPlan::paper(3, 0)
+            .with_tau_ms(tau)
+            .validate()
+            .expect_err("one duplicate");
+        assert_eq!(err.problems.len(), 1, "{err}");
+        assert!(err.to_string().contains("duplicate value 17.0"), "{err}");
+        // A huge unparsable string axis is one problem too.
+        let modes = vec![Json::from("sideways"); 100_000];
+        let text = Json::obj(vec![
+            ("v", 1u32.into()),
+            ("axes", Json::obj(vec![("control_modes", Json::Arr(modes))])),
+        ])
+        .render();
+        let err = SweepPlan::parse(&text).expect_err("unknown modes");
+        assert_eq!(err.problems.len(), 1, "{err}");
+        assert!(err.to_string().contains("99999 more"), "{err}");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "validation took {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn duplicate_detection_keeps_equality_semantics() {
+        // -0.0 == 0.0 is a duplicate; NaN equals nothing, itself included
+        // (it is rejected by the value check instead).
+        let err = SweepPlan::paper(3, 0)
+            .with_gating_levels(vec![0.0, 0.5, -0.0])
+            .validate()
+            .expect_err("-0.0 duplicates 0.0");
+        assert!(err.to_string().contains("duplicate value -0.0"), "{err}");
+        let err = SweepPlan::paper(3, 0)
+            .with_tau_ms(vec![f64::NAN, 20.0, f64::NAN])
+            .validate()
+            .expect_err("NaN is not a tau");
+        assert!(!err.to_string().contains("duplicate"), "{err}");
+        assert!(err.to_string().contains("and 1 more"), "{err}");
+        // The first duplicate in input order is named, not the smallest.
+        let err = SweepPlan::paper(3, 0)
+            .with_obstacles(vec![4, 2, 2, 4])
+            .validate()
+            .expect_err("duplicates");
+        assert!(
+            err.to_string().contains("duplicate value 2 (and 1 more"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn validation_rejects_a_grid_whose_size_overflows_usize() {
         // Obstacles x seeds alone overflows: the counts saturate, never wrap.
         let plan = SweepPlan::paper(3, 0).with_seeds(0, usize::MAX / 2);
@@ -1883,6 +1931,51 @@ mod tests {
         let plan = SweepPlan::paper(3, 0).with_seeds(0, usize::MAX / 4);
         assert_eq!(plan.n_specs(), 3 * (usize::MAX / 4));
         plan.validate().expect("a countable grid validates");
+    }
+
+    #[test]
+    fn a_shard_of_a_huge_grid_folds_into_only_its_own_cells() {
+        // 20 000 tau x 20 000 gating values: 4 x 10^8 cells, whose
+        // whole-grid summary would need ~147 GB. Shard 0..1 touches one.
+        let plan = SweepPlan::paper(3, 0)
+            .with_tau_ms((1..=20_000).map(f64::from).collect())
+            .with_gating_levels((0..20_000).map(|g| f64::from(g) / 20_000.0).collect());
+        assert_eq!(plan.axes.n_cells(), 400_000_000);
+        let shard = Shard::new(0, 1);
+        let mut summary = RunSummary::for_range(shard, plan.axes.specs_per_cell());
+        assert_eq!(summary.cells().len(), 1);
+        plan.run_range(shard, plan.kernel, |i, report| {
+            summary.record(i, &report);
+            true
+        })
+        .expect("the shard runs");
+        let fragment = summary.fragment();
+        assert_eq!(fragment.len(), 1);
+        assert_eq!((fragment[0].cell, fragment[0].episodes), (0, 1));
+    }
+
+    #[test]
+    fn a_range_fold_ships_the_whole_grid_folds_fragment() {
+        // Four cells of three specs; shards inside one cell, across a cell
+        // boundary, and over the last cell.
+        let plan = SweepPlan::paper(3, 2023)
+            .with_tau_ms(vec![20.0, 25.0])
+            .with_optimizers(vec![OptimizerKind::Offloading, OptimizerKind::ModelGating]);
+        for shard in [Shard::new(0, 2), Shard::new(2, 7), Shard::new(9, 12)] {
+            let mut whole = plan.run_summary();
+            let mut ranged = RunSummary::for_range(shard, plan.axes.specs_per_cell());
+            plan.run_range(shard, plan.kernel, |i, report| {
+                whole.record(i, &report);
+                ranged.record(i, &report);
+                true
+            })
+            .expect("the shard runs");
+            assert_eq!(ranged.fragment(), whole.fragment(), "shard {shard}");
+            // And the fragment folds into a whole-grid summary.
+            let mut folded = plan.run_summary();
+            folded.fold_fragment(&ranged.fragment()).expect("folds");
+            assert_eq!(folded, whole);
+        }
     }
 
     #[test]
@@ -2030,9 +2123,31 @@ mod tests {
         let models = ModelSet::paper_setup(config.tau).expect("paper models");
         let runtime =
             RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
-        let reference =
-            BatchRunner::new(runtime).run_serial(&ScenarioSpec::grid(&[0, 2, 4], 2, 2023));
+        let reference: Vec<EpisodeReport> = ScenarioSpec::grid(&[0, 2, 4], 2, 2023)
+            .iter()
+            .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+            .collect();
         assert_eq!(plan.run_serial().expect("runs"), reference);
+    }
+
+    #[test]
+    fn sweeps_are_kernel_backend_invariant() {
+        // Neural controller so the kernel backend is actually exercised.
+        let plan = SweepPlan::paper(6, 2023)
+            .with_obstacles(vec![0, 2])
+            .with_seeds(2023, 3)
+            .with_controllers(vec![ControllerKind::SeededNeural(5)]);
+        let reference = plan.run_serial().expect("scalar serial runs");
+        for backend in KernelBackend::ALL {
+            assert_eq!(
+                plan.clone()
+                    .with_kernel(backend)
+                    .run_threads(3)
+                    .expect("threads run"),
+                reference,
+                "{backend} sweep diverged from the scalar serial loop"
+            );
+        }
     }
 
     #[test]

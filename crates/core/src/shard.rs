@@ -1,6 +1,6 @@
 //! Multi-process sharded scenario sweeps.
 //!
-//! [`crate::batch::BatchRunner`] parallelizes a sweep within one process;
+//! [`crate::lease::run_leased`] parallelizes a sweep within one process;
 //! this module scales the same grid across **processes** (the stepping stone
 //! to multi-host sharding) without changing a single output bit:
 //!
@@ -17,8 +17,8 @@
 //!    an obstacle-free route) are encoded as the strings `"inf"`/`"-inf"`.
 //! 3. [`StreamingMerge`] consumes reports **incrementally in arrival order**
 //!    but releases them **in spec-index order**, so the coordinator's merged
-//!    output is bit-identical to [`crate::batch::BatchRunner::run_serial`] over the whole
-//!    grid no matter how workers interleave.
+//!    output is bit-identical to [`crate::plan::SweepPlan::run_serial`] over
+//!    the whole grid no matter how workers interleave.
 //! 4. [`Coordinator`] spawns one OS process per shard
 //!    (`std::process::Command`), streams each child's stdout into the merge,
 //!    and turns a crashed / non-zero-exit / protocol-violating worker into a
@@ -335,12 +335,6 @@ impl ShardPlanner {
         }
     }
 
-    /// The worker count shards are planned for.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Plans shards over a grid of `n_specs` specs: one non-empty contiguous
     /// shard per worker, sizes differing by at most one (the remainder goes
     /// to the leading shards). The plan is a pure function of
@@ -348,8 +342,8 @@ impl ShardPlanner {
     ///
     /// An empty grid yields an empty plan. Requesting more workers than
     /// specs is a configuration error — a misconfigured fleet should fail
-    /// loudly before any process is spawned, not silently idle workers (use
-    /// [`Self::plan_clamped`] to shrink instead).
+    /// loudly before any process is spawned, not silently idle workers
+    /// (plan with `workers.min(n_specs)` to shrink instead).
     ///
     /// # Errors
     ///
@@ -374,16 +368,6 @@ impl ShardPlanner {
             start += len;
         }
         ShardPlan::from_shards(shards, n_specs)
-    }
-
-    /// Like [`Self::plan`] but shrinks the worker count to the grid instead
-    /// of erroring, so tiny grids still run (possibly on fewer processes).
-    ///
-    /// # Errors
-    ///
-    /// None in practice; kept fallible for symmetry with [`Self::plan`].
-    pub fn plan_clamped(&self, n_specs: usize) -> Result<ShardPlan, ShardError> {
-        Self::new(self.workers.min(n_specs.max(1))).plan(n_specs)
     }
 }
 
@@ -1178,7 +1162,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchRunner, ScenarioSpec};
+    use crate::batch::ScenarioSpec;
     use crate::config::SeoConfig;
     use crate::error::SeoError;
     use crate::model::ModelSet;
@@ -1186,17 +1170,15 @@ mod tests {
     use crate::plan::SweepPlan;
     use crate::runtime::RuntimeLoop;
 
-    fn runner() -> BatchRunner {
+    fn runtime() -> RuntimeLoop {
         let config = SeoConfig::paper_defaults();
         let models = ModelSet::paper_setup(config.tau).expect("valid");
-        BatchRunner::new(
-            RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime"),
-        )
+        RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
     }
 
     fn sample_report(n_obstacles: usize, seed: u64) -> EpisodeReport {
         let spec = ScenarioSpec::new(n_obstacles, seed);
-        runner().runtime().run_episode(&spec.world(), spec.seed)
+        runtime().run_episode(&spec.world(), spec.seed)
     }
 
     #[test]
@@ -1233,8 +1215,9 @@ mod tests {
                 specs: 3
             })
         );
-        // The clamped variant shrinks to single-spec shards instead.
-        let plan = ShardPlanner::new(5).plan_clamped(3).expect("clamps");
+        // Shrinking the worker count to the grid (5 -> 3) yields
+        // single-spec shards.
+        let plan = ShardPlanner::new(3).plan(3).expect("fits");
         assert_eq!(plan.shards().len(), 3);
         assert!(plan.shards().iter().all(|s| s.len() == 1));
     }
@@ -1382,7 +1365,11 @@ mod tests {
     #[test]
     fn worker_shard_output_matches_serial_slice() {
         let specs = ScenarioSpec::grid(&[0, 2], 2, 2023);
-        let serial = runner().run_serial(&specs);
+        let runtime = runtime();
+        let serial: Vec<EpisodeReport> = specs
+            .iter()
+            .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+            .collect();
         let plan = SweepPlan::paper(6, 2023).with_obstacles(vec![0, 2]);
         let shard = Shard::new(1, 3);
         let parsed: Vec<(usize, EpisodeReport)> = worker_lines(&plan, shard)

@@ -1845,8 +1845,9 @@ pub fn serve_job(
 /// injector killed the connection.
 ///
 /// When the plan's report mode is pure `summary`, no episode frame is
-/// written at all: every report folds into a local [`RunSummary`] and the
-/// shard ships as **one** [`summary_frame`] right before `done`. An
+/// written at all: every report folds into a local [`RunSummary`] holding
+/// only the cells the shard overlaps ([`RunSummary::for_range`]), and
+/// the shard ships as **one** [`summary_frame`] right before `done`. An
 /// injected drop at any point means the connection dies with *nothing*
 /// shipped — all-or-nothing, so a re-issued lease folds each episode
 /// exactly once.
@@ -1857,7 +1858,8 @@ fn serve_plan_shard(
     runtime: &RuntimeLoop,
     injector: &mut FaultInjector<'_>,
 ) -> Result<Option<usize>, TransportError> {
-    let mut summary = (!plan.emits_episodes()).then(|| plan.run_summary());
+    let mut summary =
+        (!plan.emits_episodes()).then(|| RunSummary::for_range(shard, plan.axes.specs_per_cell()));
     let mut emitted = 0usize;
     let mut dropped = false;
     let mut write_error = None;

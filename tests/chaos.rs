@@ -12,7 +12,7 @@
 //! flag or a `shutdown` frame, never [`seo_core::daemon::request_drain`]
 //! (which is process-global and would drain the other tests' daemons).
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::shard::report_line;
 use seo_core::transport::{
@@ -37,11 +37,14 @@ fn paper() -> SweepPlan {
     SweepPlan::paper(SCENARIOS, SEED)
 }
 
-/// The independent reference: the batch engine's serial loop over the
-/// obstacles x seeds grid the paper preset expands to.
+/// The independent reference: one episode per spec of the obstacles x
+/// seeds grid the paper preset expands to, with no engine in between.
 fn serial_reports() -> Vec<EpisodeReport> {
-    let specs = ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED);
-    BatchRunner::new(paper_runtime()).run_serial(&specs)
+    let runtime = paper_runtime();
+    ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED)
+        .iter()
+        .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+        .collect()
 }
 
 /// An in-process daemon plus the channel its `serve` result arrives on
@@ -531,6 +534,47 @@ fn a_lease_of_a_huge_grid_is_served_without_expanding_it() {
     match next_msg(&mut stream) {
         WorkerMsg::Report { index, report } => assert_eq!((index, &report), (0, &serial[0])),
         other => panic!("expected report 0, got {other:?}"),
+    }
+    match next_msg(&mut stream) {
+        WorkerMsg::Done { count } => assert_eq!(count, 1),
+        other => panic!("expected done, got {other:?}"),
+    }
+    let mut probe = open(daemon.addr);
+    write_frame(&mut probe, &health_request_frame()).expect("send health");
+    let payload = read_frame(&mut probe).expect("read frame").expect("reply");
+    let health = HealthReport::from_frame(&payload).expect("health report");
+    assert!(health.accepting, "{health:?}");
+}
+
+/// A summary-mode lease of a 306 KB plan with 20 000 tau x 20 000 gating
+/// values (4 x 10^8 cells) used to abort the whole daemon: it folded its
+/// one-spec shard into a summary sized for every cell of the grid (a
+/// ~147 GB allocation). The shard now folds into only the cells it
+/// overlaps: the daemon ships one one-cell fragment, finishes with `done`,
+/// and keeps answering health probes.
+#[test]
+fn a_summary_lease_of_a_huge_grid_folds_only_its_own_cells() {
+    let daemon = spawn_daemon(DaemonConfig::default());
+    let plan = paper()
+        .with_tau_ms((1..=20_000).map(f64::from).collect())
+        .with_gating_levels((0..20_000).map(|g| f64::from(g) / 20_000.0).collect())
+        .with_report(ReportSpec::new().with_mode(ReportMode::Summary));
+    assert_eq!(plan.axes.n_cells(), 400_000_000);
+    let request = JobRequest {
+        scenarios: plan.n_specs(),
+        seed: SEED,
+        plan: Some(plan),
+        shard: Shard::new(0, 1),
+    };
+    let mut stream = open(daemon.addr);
+    write_frame(&mut stream, &request.to_frame()).expect("send job");
+    match next_msg(&mut stream) {
+        WorkerMsg::Summary { shard, cells } => {
+            assert_eq!(shard, Shard::new(0, 1));
+            assert_eq!(cells.len(), 1, "one cell, not the grid");
+            assert_eq!((cells[0].cell, cells[0].episodes), (0, 1));
+        }
+        other => panic!("expected a summary frame, got {other:?}"),
     }
     match next_msg(&mut stream) {
         WorkerMsg::Done { count } => assert_eq!(count, 1),

@@ -4,7 +4,7 @@
 //! each naming the field), and the multi-axis grid's agreement with the
 //! experiment harness's single-cell semantics.
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::plan::PLAN_VERSION;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
@@ -18,8 +18,8 @@ fn paper_runtime() -> RuntimeLoop {
 
 /// The acceptance invariant: the paper preset expands to exactly the
 /// obstacles {0, 2, 4} x seeds `ScenarioSpec::grid` and its serial run is
-/// bit-identical — field-wise and on the wire — to `BatchRunner::run_serial`
-/// over that grid.
+/// bit-identical — field-wise and on the wire — to running each spec of that
+/// grid directly on the paper runtime.
 #[test]
 fn paper_preset_is_bit_identical_to_the_legacy_grid() {
     let plan = SweepPlan::paper(6, 2023);
@@ -27,7 +27,11 @@ fn paper_preset_is_bit_identical_to_the_legacy_grid() {
     let specs: Vec<ScenarioSpec> = plan.expand().iter().map(|p| p.spec).collect();
     assert_eq!(specs, legacy);
 
-    let reference = BatchRunner::new(paper_runtime()).run_serial(&legacy);
+    let runtime = paper_runtime();
+    let reference: Vec<EpisodeReport> = legacy
+        .iter()
+        .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+        .collect();
     let serial = plan.run_serial().expect("plan runs");
     assert_eq!(serial, reference);
     for (i, (p, r)) in serial.iter().zip(&reference).enumerate() {

@@ -2,17 +2,25 @@
 //! edge cases, wire-format round-trips, and the planner × merge composition
 //! reproducing a serial sweep bit-for-bit.
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{
     parse_report_line, report_line, Shard, ShardError, ShardPlan, ShardPlanner, StreamingMerge,
 };
 
-fn runner(optimizer: OptimizerKind) -> BatchRunner {
+fn runtime(optimizer: OptimizerKind) -> RuntimeLoop {
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    BatchRunner::new(RuntimeLoop::new(config, models, optimizer).expect("valid runtime"))
+    RuntimeLoop::new(config, models, optimizer).expect("valid runtime")
+}
+
+/// The independent reference: one episode per spec, in spec order.
+fn run_serial(runtime: &RuntimeLoop, specs: &[ScenarioSpec]) -> Vec<EpisodeReport> {
+    specs
+        .iter()
+        .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+        .collect()
 }
 
 /// One shard's worker output: the process engine's worker (`sweep
@@ -67,8 +75,9 @@ fn planner_edge_cases() {
             specs: 3
         })
     ));
-    // …unless explicitly clamped, which degrades to single-spec shards.
-    let clamped = ShardPlanner::new(8).plan_clamped(3).expect("clamps");
+    // …unless the worker count is shrunk to the grid (8 -> 3), which
+    // degrades to single-spec shards.
+    let clamped = ShardPlanner::new(3).plan(3).expect("fits");
     assert_eq!(clamped.shards().len(), 3);
     assert!(clamped.shards().iter().all(|s| s.len() == 1));
     // Single-spec shards at exact parity.
@@ -99,11 +108,11 @@ fn explicit_plan_validation_catches_misconfigurations() {
 
 #[test]
 fn report_wire_round_trip_is_exact_for_real_episodes() {
-    let runner = runner(OptimizerKind::Offloading);
+    let runtime = runtime(OptimizerKind::Offloading);
     // 0-obstacle episodes carry min_distance = +inf; 2/4-obstacle episodes
     // carry dense finite floats. Both must survive the wire exactly.
     for (i, spec) in ScenarioSpec::grid(&[0, 2, 4], 2, 7).iter().enumerate() {
-        let report = runner.runtime().run_episode(&spec.world(), spec.seed);
+        let report = runtime.run_episode(&spec.world(), spec.seed);
         let line = report_line(i, &report);
         let (index, back) = parse_report_line(&line).expect("parses");
         assert_eq!(index, i);
@@ -117,9 +126,9 @@ fn report_wire_round_trip_is_exact_for_real_episodes() {
 /// and uneven shard sizes.
 #[test]
 fn planner_merge_composition_reproduces_serial_sweep() {
-    let runner = runner(OptimizerKind::Offloading);
+    let runtime = runtime(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0, 2, 4], 2, 2023); // 6 specs
-    let serial = runner.run_serial(&specs);
+    let serial = run_serial(&runtime, &specs);
     let sweep = SweepPlan::paper(6, 2023); // the same 6 specs
     for workers in [1usize, 2, 4] {
         let plan = ShardPlanner::new(workers).plan(specs.len()).expect("plan");
@@ -152,9 +161,9 @@ fn planner_merge_composition_reproduces_serial_sweep() {
 
 #[test]
 fn merge_rejects_duplicate_index_and_keeps_the_original() {
-    let runner = runner(OptimizerKind::Offloading);
+    let runtime = runtime(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0, 2], 1, 5);
-    let reports = runner.run_serial(&specs);
+    let reports = run_serial(&runtime, &specs);
     assert_ne!(reports[0], reports[1], "distinct reports for the test");
 
     let mut merge = StreamingMerge::new(specs.len());
@@ -174,9 +183,9 @@ fn merge_rejects_duplicate_index_and_keeps_the_original() {
 
 #[test]
 fn merge_rejects_duplicates_even_after_draining() {
-    let runner = runner(OptimizerKind::Offloading);
+    let runtime = runtime(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0], 2, 9);
-    let reports = runner.run_serial(&specs);
+    let reports = run_serial(&runtime, &specs);
     let mut merge = StreamingMerge::new(specs.len());
     merge.accept(0, reports[0].clone()).expect("ok");
     assert_eq!(merge.drain_ready().len(), 1, "prefix released");
@@ -189,9 +198,9 @@ fn merge_rejects_duplicates_even_after_draining() {
 
 #[test]
 fn merge_rejects_out_of_range_index_without_corrupting_state() {
-    let runner = runner(OptimizerKind::Offloading);
+    let runtime = runtime(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0], 2, 3);
-    let reports = runner.run_serial(&specs);
+    let reports = run_serial(&runtime, &specs);
     let mut merge = StreamingMerge::new(specs.len());
     // One-past-the-end and far-out indices are both named violations.
     for bad in [specs.len(), specs.len() + 100] {
@@ -232,9 +241,9 @@ fn duplicate_wire_lines_surface_as_protocol_violations() {
 
 #[test]
 fn merge_streams_prefixes_incrementally() {
-    let runner = runner(OptimizerKind::ModelGating);
+    let runtime = runtime(OptimizerKind::ModelGating);
     let specs = ScenarioSpec::grid(&[0, 2], 2, 11);
-    let reports = runner.run_serial(&specs);
+    let reports = run_serial(&runtime, &specs);
     let mut merge = StreamingMerge::new(specs.len());
     // Arrival order 1, 0, 3, 2 — prefixes release as soon as contiguous.
     merge.accept(1, reports[1].clone()).expect("ok");

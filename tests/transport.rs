@@ -1,11 +1,11 @@
 //! Loopback-TCP properties of the multi-host sweep transport: host-pool
 //! validation, frame round-trips, pull-based lease scheduling, and the
 //! tentpole guarantee — the remote merge of a `SweepPlan` is bit-identical
-//! to `BatchRunner::run_serial` over the same grid under 1/2/3 hosts, every
+//! to one episode per spec run directly over the same grid under 1/2/3 hosts, every
 //! chunk size, and injected mid-stream host failures (kills, dead hosts,
 //! stalls).
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::report_line;
@@ -32,11 +32,14 @@ fn paper() -> SweepPlan {
     SweepPlan::paper(SCENARIOS, SEED)
 }
 
-/// The independent reference: the batch engine's serial loop over the
-/// obstacles x seeds grid the paper preset expands to.
+/// The independent reference: one episode per spec of the obstacles x
+/// seeds grid the paper preset expands to, with no engine in between.
 fn serial_reports() -> Vec<EpisodeReport> {
-    let specs = ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED);
-    BatchRunner::new(paper_runtime()).run_serial(&specs)
+    let runtime = paper_runtime();
+    ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED)
+        .iter()
+        .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+        .collect()
 }
 
 fn pool_of(hosts: &[(SocketAddr, u64)]) -> HostPool {
