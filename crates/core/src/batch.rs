@@ -117,6 +117,33 @@ mod tests {
     }
 
     #[test]
+    fn reports_come_back_in_spec_order() {
+        use crate::lease::run_leased;
+        use crate::prelude::*;
+        let config = SeoConfig::paper_defaults();
+        let models = ModelSet::paper_setup(config.tau).expect("valid");
+        let runtime =
+            RuntimeLoop::new(config, models, OptimizerKind::ModelGating).expect("valid runtime");
+        let specs = ScenarioSpec::grid(&[0, 4], 4, 7);
+        let reports = run_leased(specs.len(), 4, |lease| {
+            Ok::<_, ()>(
+                lease
+                    .indices()
+                    .map(|i| runtime.run_episode(&specs[i].world(), specs[i].seed))
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .expect("episodes do not fail");
+        assert_eq!(reports.len(), specs.len());
+        // Reports for the same spec must match a direct run regardless of
+        // which worker produced them.
+        for (spec, report) in specs.iter().zip(&reports) {
+            let direct = runtime.run_episode(&spec.world(), spec.seed);
+            assert_eq!(*report, direct, "out-of-order report for {spec}");
+        }
+    }
+
+    #[test]
     fn seo_threads_override_parsing() {
         // Pure-function test: mutating the process environment would race
         // with every other test that sizes a pool.
